@@ -101,26 +101,12 @@ int main(int argc, char** argv) {
 
   std::printf("per-shard breakdown (parallel fast-path hits vs serialized coherence):\n");
   const auto& shard_reports = engine.shard_reports();
-  uint64_t drained = 0;
-  uint64_t owner_drained = 0;
   for (size_t s = 0; s < shard_reports.size(); ++s) {
     const ShardReport& sr = shard_reports[s];
-    drained += sr.drained_ops;
-    owner_drained += sr.owner_drained;
-    std::printf("  shard %zu: %9llu parallel hits, %9llu drained ops (%llu owner-parallel), "
-                "makespan %.3f ms\n",
+    std::printf("  shard %zu: %9llu parallel hits, %9llu drained ops, makespan %.3f ms\n",
                 s, static_cast<unsigned long long>(sr.parallel_hits),
-                static_cast<unsigned long long>(sr.drained_ops),
-                static_cast<unsigned long long>(sr.owner_drained), ToMillis(sr.makespan));
+                static_cast<unsigned long long>(sr.drained_ops), ToMillis(sr.makespan));
   }
-  // Drain ops that were owner-homed blade-local hits retired in owner-parallel phases
-  // instead of one at a time through the global merge (src/workload/region_ownership.h).
-  std::printf("owner-parallel drain: %llu of %llu drained ops (%.1f%%)\n",
-              static_cast<unsigned long long>(owner_drained),
-              static_cast<unsigned long long>(drained),
-              drained == 0 ? 0.0
-                           : 100.0 * static_cast<double>(owner_drained) /
-                                 static_cast<double>(drained));
   if (options.trace) {
     bench::WriteTraceReportLine(engine, trace_path);
   }

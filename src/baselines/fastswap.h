@@ -66,13 +66,6 @@ class FastSwapSystem final : public MemorySystem {
   // merge itself still interleaves LRU recency in exact (clock, thread) order).
   std::unique_ptr<ChannelGroup> OpenChannelGroup(ComputeBladeId blade) override;
 
-  // Ownership-aware drain contract (OwnerDrainOps, memory_system.h): any cached page is a
-  // fixed-latency read-write hit, so eligibility is just presence (with prefetching off).
-  // Single compute blade — every region is home, one shard, so owner phases are never
-  // threaded here; the contract still lets single-shard replay retire hit bursts without
-  // the per-op heap churn of the serialized merge step.
-  std::unique_ptr<OwnerDrainOps> OpenOwnerDrain(int num_shards) override;
-
   bool SetPrefetchPolicy(PrefetchPolicy policy) override {
     config_.prefetch.policy = policy;
     return true;
@@ -105,7 +98,6 @@ class FastSwapSystem final : public MemorySystem {
  private:
   class Channel;
   class Group;
-  class OwnerDrain;
   [[nodiscard]] MemoryBladeId BackingBlade(uint64_t page) const {
     return static_cast<MemoryBladeId>((page / config_.chunk_pages) %
                                       static_cast<uint64_t>(config_.num_memory_blades));

@@ -1,7 +1,6 @@
 #include "src/baselines/gam.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 #include <vector>
 
@@ -91,75 +90,10 @@ SimTime GamSystem::EnterLibrary(ThreadId tid, ComputeBladeId blade, uint64_t pag
   }
   // Library fast path: permission check + lock on *every* access (GAM has no MMU help).
   // detlint: allow(parallel-serialized-call): this is the per-blade FifoResource library
-  // lock (blade-confined under the group/drain phase discipline), not the fabric's
-  // serialized QueueModel::Acquire — the regex frontend matches by name only.
+  // lock (blade-confined under the group phase discipline), not the fabric's
+  // serialized QueueModel::Acquire — DetLint matches by name only.
   const auto grant = blades_[blade].lock.Acquire(now, config_.lock_service);
   return grant.finish + lat().gam_local_access;
-}
-
-// Ownership-aware drain over the GAM hit path (contract notes in gam.h; engine-side
-// discipline in memory_system.h). AccessOwned replays the serial hit path exactly —
-// EnterLibrary (PSO read barrier + FIFO lock + local library work), LRU touch, dirty bit
-// — with counters absorbed by per-shard scratch; same-blade threads share a shard, so
-// the blade's lock queue advances in the same relative order serial replay produces.
-class GamSystem::OwnerDrain final : public OwnerDrainOps {
- public:
-  OwnerDrain(GamSystem* sys, int num_shards)
-      : sys_(sys), scratch_(static_cast<size_t>(num_shards)) {}
-
-  MIND_PARALLEL_PHASE [[nodiscard]] bool Eligible(ThreadId /*tid*/, ComputeBladeId blade,
-                                                  VirtAddr va, AccessType type,
-                                                  SimTime /*now*/) const override {
-    if (sys_->config_.prefetch.enabled()) {
-      return false;  // Installs and late joins mutate per-blade tables mid-drain.
-    }
-    const DramCache::Frame* frame = sys_->blades_[blade].cache->Peek(PageNumber(va));
-    return frame != nullptr && !frame->prefetched &&
-           (type == AccessType::kRead || frame->writable);
-  }
-  MIND_SERIALIZED_PATH [[nodiscard]] SimTime MinEligibleCost() const override {
-    return sys_->config_.lock_service + sys_->lat().gam_local_access;
-  }
-  MIND_PARALLEL_PHASE AccessResult AccessOwned(int shard, ThreadId tid, ComputeBladeId blade,
-                                               VirtAddr va, AccessType type,
-                                               SimTime now) override {
-    Scratch& sc = scratch_[static_cast<size_t>(shard)];
-    ++sc.total_accesses;
-    const uint64_t page = PageNumber(va);
-    const SimTime t = sys_->EnterLibrary(tid, blade, page, type, now);
-    DramCache::Frame* frame = sys_->blades_[blade].cache->Lookup(page);
-    assert(frame != nullptr);  // Guaranteed by Eligible under the phase discipline.
-    if (type == AccessType::kWrite) {
-      frame->dirty = true;
-    }
-    ++sc.local_hits;
-    AccessResult res;
-    res.local_hit = true;
-    res.latency = t - now;  // Includes any PSO read-barrier stall, as the serial hit does.
-    res.completion = t;
-    res.breakdown.fault = t - now;
-    return res;
-  }
-  MIND_SERIALIZED_PATH void Fold() override {
-    for (Scratch& sc : scratch_) {
-      sys_->counters_.total_accesses += sc.total_accesses;
-      sys_->counters_.local_hits += sc.local_hits;
-      sc = {};
-    }
-  }
-
- private:
-  struct Scratch {
-    uint64_t total_accesses = 0;
-    uint64_t local_hits = 0;
-  };
-
-  GamSystem* sys_;
-  std::vector<Scratch> scratch_;
-};
-
-std::unique_ptr<OwnerDrainOps> GamSystem::OpenOwnerDrain(int num_shards) {
-  return std::make_unique<OwnerDrain>(this, num_shards);
 }
 
 MIND_SERIALIZED_PATH AccessResult GamSystem::Access(ThreadId tid, ComputeBladeId blade, VirtAddr va,

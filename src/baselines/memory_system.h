@@ -67,53 +67,11 @@ struct SystemCounters {
   }
 };
 
-// Ownership-aware drain contract backing the replay engine's owner-parallel drain
-// phases (ISSUE 7; src/workload/region_ownership.h has the region->owner map itself).
-//
-// The engine partitions each serialized drain into sub-rounds: it classifies every
-// unfinished thread's next op through Eligible, derives a safety horizon H_safe from the
-// classification (min over threads of `clock` for ineligible tops and `clock +
-// MinEligibleCost + think` for eligible ones), and lets each shard retire its own
-// threads' eligible ops with start clocks strictly below H_safe concurrently — no
-// barrier between intra-shard ops. Everything else (faults, invalidation waves, splits,
-// epoch/sampler boundaries, regions owned by another shard) falls through to a serialized
-// merge step that executes the exact global (clock, thread) minimum via Access.
-//
-// The contract every implementation must honor:
-//   * Eligible is non-mutating and may run concurrently with AccessOwned calls of OTHER
-//     blades. It must accept only ops whose entire execution touches state confined to
-//     the accessing blade plus the accessing thread — in-tree that means local cache
-//     hits with prefetching off (hits never evict, never draw fault-plane randomness,
-//     and never touch the fabric or any directory), under a consistency model whose
-//     read barrier is thread-confined.
-//   * AccessOwned(shard, ...) executes one Eligible-approved op on behalf of `shard`,
-//     bit-identical in outcome (latency, completion, side effects) to what Access would
-//     produce at the same clock, but without touching cross-blade structures: global
-//     memo arrays are skipped (pure memoization, outcome-invariant) and counters go to
-//     per-shard scratch. Calls for different shards may run concurrently; the engine
-//     guarantees same-blade threads always share a shard, so per-blade state (cache LRU,
-//     FIFO locks) is only ever mutated in shard-local (clock, thread) order — the same
-//     relative order serial replay produces.
-//   * MinEligibleCost lower-bounds the thread-visible latency of ANY eligible op: the
-//     engine's H_safe lookahead is sound exactly because an op retired inside a phase
-//     advances its thread's clock by at least this much.
-//   * NextSerialBoundary is the earliest time-driven global event (e.g. a bounded-
-//     splitting epoch boundary) that Access would run implicitly; ops at or past it are
-//     never phase-eligible, so the event fires on the serialized step exactly as under
-//     serial replay. Scheduled fault-plane events are clamped by the engine itself via
-//     NextScheduledFaultAt.
-//   * Fold merges the per-shard scratch counters into the system's own counters; the
-//     engine calls it after every threaded phase barrier. Sequential phase execution
-//     (one worker, or a single shard) goes through plain Access instead and never needs
-//     folding.
+// Unused: kept only for perfbench/timed_system.*, removed with the next benchmark change.
 class OwnerDrainOps {
  public:
   virtual ~OwnerDrainOps() = default;
 
-  // Phase tags (docs/determinism.md): Eligible/AccessOwned run inside owner-parallel
-  // phases; Fold and NextSerialBoundary run only at phase barriers / sub-round scans on
-  // the serialized path. Every override must restate its tag (tools/detlint.py enforces
-  // contract totality).
   MIND_PARALLEL_PHASE [[nodiscard]] virtual bool Eligible(ThreadId tid, ComputeBladeId blade,
                                                           VirtAddr va, AccessType type,
                                                           SimTime now) const = 0;
@@ -190,11 +148,7 @@ class MemorySystem {
   // trailing epoch boundaries run exactly as they would under serial replay.
   MIND_SERIALIZED_PATH virtual void AdvanceTo(SimTime /*now*/) {}
 
-  // --- Owner-parallel coherence drains (src/workload/region_ownership.h) ---
-  //
-  // Opens the ownership-aware drain contract for an N-shard replay; see OwnerDrainOps
-  // below. Returning null opts the system out: every drained op then takes the fully
-  // serialized merge step, which is always correct (and is the pre-ownership behavior).
+  // Unused: kept only for perfbench/timed_system.*, removed with the next benchmark change.
   virtual std::unique_ptr<OwnerDrainOps> OpenOwnerDrain(int /*num_shards*/) {
     return nullptr;
   }

@@ -20,14 +20,12 @@
 //                               seeded Rng streams and mutate global SystemCounters /
 //                               histograms directly.
 //       MIND_PARALLEL_PHASE   — runs concurrently across shard workers inside a phase
-//                               (channel scan/commit, owner-parallel drain sub-rounds).
-//                               Must not draw RNG, must not touch global counters except
-//                               through per-shard scratch mailboxes folded at the phase
-//                               barrier (the OwnerDrainOps::Fold protocol).
+//                               (channel scan/commit). Must not draw RNG, must not
+//                               touch global counters except through per-shard scratch
+//                               mailboxes folded at the phase barrier.
 //
-//     Under Clang they expand to [[clang::annotate]] so libclang-based tooling sees them
-//     in the AST; under any compiler the macro token itself is what tools/detlint.py's
-//     regex frontend keys on. Lambdas cannot take attributes portably — tag them with a
+//     Under Clang they expand to [[clang::annotate]]; under any compiler the macro token
+//     itself is what tools/detlint.py keys on. Lambdas cannot take attributes portably — tag them with a
 //     trailing comment on the definition line instead: `auto f = [&] { ... };  // MIND_PARALLEL_PHASE`.
 #ifndef MIND_SRC_COMMON_THREAD_ANNOTATIONS_H_
 #define MIND_SRC_COMMON_THREAD_ANNOTATIONS_H_

@@ -4,10 +4,9 @@
 // explicitly OUTSIDE the determinism contract: profiles are never part of the
 // deterministic digest, never feed back into simulated time, and are gated
 // behind ReplayOptions::profile (off = not constructed = zero clock reads on
-// any path). The exported Perfetto track answers the ROADMAP's H_safe-quantum /
-// barrier-cost questions: how long each parallel scan/commit phase, each
-// owner-parallel drain phase, each serialized drain stretch and each phase-
-// barrier wait actually took on the host.
+// any path). The exported Perfetto track answers the ROADMAP's barrier-cost
+// questions: how long each parallel scan/commit phase, each serialized drain
+// stretch and each phase-barrier wait actually took on the host.
 //
 // Storage discipline (docs/determinism.md mailbox pattern): lane s is written
 // only by the thread currently executing shard s's phase; the dedicated serial
@@ -27,7 +26,7 @@ class PhaseProfiler {
   enum class Phase : uint8_t {
     kScan = 0,         // Parallel scan phase (channel submit/classify).
     kCommit = 1,       // Parallel commit phase (channel/group commits).
-    kOwnerDrain = 2,   // Owner-parallel drain sub-round phase.
+    kOwnerDrain = 2,   // Never recorded: kept only for perfbench/, removed with it next.
     kSerialDrain = 3,  // Serialized drain stretch (global merge steps).
     kBarrierWait = 4,  // Coordinator's wait for the slowest shard at a barrier.
   };

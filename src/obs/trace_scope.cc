@@ -27,7 +27,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kWaveIssue: return "wave-issue";
     case TraceEventKind::kChannelCommit: return "channel-commit";
     case TraceEventKind::kGroupCommit: return "group-commit";
-    case TraceEventKind::kDrainPhase: return "drain-phase";
   }
   return "?";
 }

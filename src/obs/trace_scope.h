@@ -11,10 +11,8 @@
 //     threading modes for a fixed seed + fault schedule.
 //   * one ring-buffer sink PER SHARD — a scratch mailbox in the sense of
 //     docs/determinism.md: written only by the worker currently executing that
-//     shard's parallel phase (channel/group commit execution events; the
-//     serialized drain parks its sub-round events in shard 0's sink while no
-//     phase writer is live), merged here at the report boundary by a stable
-//     (clock, tid, kind) sort.
+//     shard's parallel phase (channel/group commit execution events), merged
+//     here at the report boundary by a stable (clock, tid, kind) sort.
 //
 // Finalize() must be called after the worker join (the engine does this at the
 // end of Run); merged()/digest/export are only meaningful afterwards.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <queue>
 #include <thread>
 #include <utility>
 
@@ -47,16 +46,6 @@ Status ReplayEngine::Setup() {
     thread_ids_.push_back(*tid);
     thread_blades_.push_back(blade);
   }
-  // Directory-region ownership (src/workload/region_ownership.h): home every 2 MB region
-  // at the blade whose threads touch it most. A pure function of the traces, so the map —
-  // and with it the owner-parallel drain's phase/serial composition — is identical for
-  // every shard count, threading mode and replay path.
-  for (size_t t = 0; t < traces_->threads.size(); ++t) {
-    for (const TraceOp& op : traces_->threads[t].ops) {
-      ownership_.Credit(AddressOf(op.segment, op.page), thread_blades_[t]);
-    }
-  }
-  ownership_.Seal();
   setup_done_ = true;
   if (options_.use_channels) {
     // Channel-driven runs stream resolved ops into Submit; resolving here keeps Run's
@@ -115,13 +104,6 @@ struct ThreadRt {
   bool ran_in_drain = false;   // Cursor moved outside the fast path; run is stale.
   bool latency_final = true;   // False: latencies finalize at per-op Commit (see contract).
   uint32_t window = kMinScanWindow;  // Adaptive scan-window size (see kMinScanWindow).
-  // Owner-drain classification cache: the thread's next op, resolved and classified
-  // (owner-homed blade-local hit below the drain boundary?). Invalidated whenever the
-  // state the verdict reads may have changed — conservatively stale-false is always safe.
-  bool drain_classified = false;
-  bool drain_eligible = false;
-  VirtAddr top_va = 0;
-  AccessType top_type = AccessType::kRead;
   SimTime buf_end_clock = 0;
   SimTime uniform_lat = 0;     // Nonzero: every op in the run has this latency.
   size_t buf_pos = 0;          // Committed prefix of the run.
@@ -136,8 +118,6 @@ struct ShardRt {
   std::vector<GroupLane> lanes;                    // Per-round group-commit scratch.
   SimTime barrier = kNoHorizon;  // Scan result: earliest clock this shard cannot pass.
   bool any_blocked = false;
-  uint64_t phase_retired = 0;    // Ops this shard retired in the last owner-drain phase.
-  std::vector<size_t> phase_order;  // Owner-drain scratch: eligible threads, clock order.
   Rng rng{0};  // Per-shard stream (reserved for stochastic replay extensions).
   ShardReport report;
 };
@@ -513,18 +493,7 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     }
   };
 
-  // --- Serialized drain & owner-parallel drain phases ---------------------
-
-  // Ownership-aware drain contract (OwnerDrainOps, memory_system.h): non-null when the
-  // option is on and the system implements it. The reference path opens it too (one
-  // shard, sequential phases) — reference and fast paths exercise the same
-  // ownership-partitioned drain, diverging only in execution strategy.
-  std::unique_ptr<OwnerDrainOps> owner_ops =
-      options_.owner_parallel_drain ? system->OpenOwnerDrain(num_shards) : nullptr;
-  // Lower bound on how far one eligible op advances its thread's clock; the H_safe
-  // lookahead below is sound exactly because of it. Zero (degenerate zero-cost configs)
-  // collapses every sub-round to a serialized step — still correct, never parallel.
-  const SimTime min_step = owner_ops != nullptr ? owner_ops->MinEligibleCost() + think : 0;
+  // --- Serialized drain ----------------------------------------------------
 
   SimTime next_sample = sample_interval;
   // Metrics time series: sampled only from the serialized merge step (exec_serial), so
@@ -542,55 +511,10 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
       next_metrics_at += sample_interval;
     }
   };
-  // Earliest time-driven global event the drain must serialize: a scheduled fault-plane
-  // drain, the system's own serial boundary (e.g. a bounded-splitting epoch end) and —
-  // on the reference path — the next sampler observation point. Ops at or past it are
-  // never phase-eligible, so the event fires on a serialized step exactly as under
-  // per-op replay. Recomputed whenever a serialized step may have fired one.
-  SimTime drain_boundary = 0;
-  auto compute_boundary = [&] {
-    SimTime b = std::min(system->NextScheduledFaultAt(), owner_ops->NextSerialBoundary());
-    if (sampler != nullptr) {
-      b = std::min(b, next_sample);
-    }
-    return b;
-  };
-
-  // Classifies the thread's next op for the owner drain: resolved VA/type plus the
-  // eligibility verdict — start clock below the boundary, region homed at the accessing
-  // thread's blade (RegionOwnership: gate identical for every shard count), and the
-  // system vouching for a blade-confined hit. Cached per thread; a stale-false verdict
-  // only costs parallelism, never correctness, and every invalidation rule below is a
-  // deterministic function of the executed-op sequence — so the drain's phase/serial
-  // composition is identical across shard counts and threading modes.
-  auto classify = [&](ThreadRt& th) {  // MIND_PARALLEL_PHASE
-    // Runs both on the serialized sub-round scan and inside owner-parallel phases
-    // (re-classification after a retired op) — tagged for the stricter context.
-    if (th.drain_classified) {
-      return;
-    }
-    const TraceOp& op = traces.threads[th.index].ops[th.next_op];
-    th.top_va = AddressOf(op.segment, op.page);
-    th.top_type = op.type;
-    th.drain_eligible =
-        th.clock < drain_boundary && ownership_.OwnedByAccessor(th.top_va, th.blade) &&
-        owner_ops->Eligible(th.tid, th.blade, th.top_va, th.top_type, th.clock);
-    th.drain_classified = true;
-  };
 
   // One serialized merge step: thread `t`'s next op through the reference per-op
   // algorithm — sampler observation point, Access against the fully-merged state,
-  // per-shard accounting. Returns the local-hit verdict (the bounded exit policy's
-  // signal) plus how far the op's effects may have reached beyond the accessed page at
-  // other blades: the invalidation wave's VA span (MIND's multicast false-invalidates
-  // the whole directory entry), or `failed` for a lost-message reset (§4.4 flushes a
-  // region whose span the result does not carry — reclassify everything).
-  struct SerialStep {
-    bool hit = false;
-    bool failed = false;
-    VirtAddr wave_base = 0;
-    VirtAddr wave_end = 0;
-  };
+  // per-shard accounting. Returns the local-hit verdict (the bounded exit policy's signal).
   auto exec_serial = [&](size_t t) {  // MIND_SERIALIZED_PATH
     ThreadRt& th = threads[t];
     if (sampler != nullptr && th.clock >= next_sample) {
@@ -624,84 +548,20 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
       th.ran_in_drain = true;  // Past the classified prefix: the run is stale.
     }
     sh.report.makespan = std::max(sh.report.makespan, th.clock);
-    th.drain_classified = false;
     if (++th.next_op >= ops.size()) {
       th.finished = true;
     }
     sample_metrics(th.clock);
-    return SerialStep{r.local_hit, !r.status.ok(), r.wave_base, r.wave_end};
+    return r.local_hit;
   };
 
   const bool use_threads =
       num_shards > 1 &&
       (options_.force_threads || std::thread::hardware_concurrency() > 1);
 
-  // Owner-parallel drain phase, one shard's slice: retire the shard's threads' eligible
-  // top ops with start clocks strictly below `h_safe`, in shard-local (clock, index)
-  // order. Same-blade threads always share a shard, so every per-blade structure (cache
-  // LRU, FIFO locks) advances in exactly the relative order serial replay produces;
-  // cross-blade phase ops commute. Threaded phases execute through
-  // OwnerDrainOps::AccessOwned (per-shard counter scratch, no global memos); sequential
-  // phases — single shard, single core, or the reference path — use plain Access, whose
-  // extra memo work is pure memoization and whose epoch/drain pumps are no-ops below the
-  // boundary. Outcomes are bit-identical either way.
-  auto owner_phase_shard = [&](int s, SimTime h_safe) {  // MIND_PARALLEL_PHASE
-    ShardRt& sh = shards[s];
-    uint64_t retired = 0;
-    // Every eligible thread retires at most one op per phase: its clock advances by at
-    // least min_step, landing at or past h_safe (h_safe <= clock + min_step by
-    // construction). So one pass in (clock, index) order visits exactly the sequence the
-    // repeated global-argmin scan would — collect, sort, retire.
-    sh.phase_order.clear();
-    for (const size_t t : sh.threads) {
-      const ThreadRt& th = threads[t];
-      if (!th.finished && th.drain_eligible && th.clock < h_safe) {
-        sh.phase_order.push_back(t);
-      }
-    }
-    if (sh.phase_order.size() > 1) {
-      std::sort(sh.phase_order.begin(), sh.phase_order.end(), [&](size_t a, size_t b) {
-        return threads[a].clock != threads[b].clock ? threads[a].clock < threads[b].clock
-                                                    : threads[a].index < threads[b].index;
-      });
-    }
-    for (const size_t t : sh.phase_order) {
-      ThreadRt& th = threads[t];
-      const AccessResult r =
-          use_threads
-              ? owner_ops->AccessOwned(s, th.tid, th.blade, th.top_va, th.top_type,
-                                       th.clock)
-              // detlint: allow(parallel-serialized-call): single-shard sequential phases run
-              // reference Access; eligible ops are blade-confined hits that never draw.
-              : system->Access(th.tid, th.blade, th.top_va, th.top_type, th.clock);
-      sh.report.latency_histogram.Record(r.latency);
-      sh.report.latency_sum += r.latency;
-      ++sh.report.drained_ops;
-      ++sh.report.owner_drained;
-      th.last_start = th.clock;
-      th.clock += r.latency + think;
-      if (th.buf_valid && th.buf_pos < th.buf_len) {
-        ++th.buf_pos;  // Run-cursor alignment, exactly as on the serialized step.
-      } else {
-        th.ran_in_drain = true;
-      }
-      sh.report.makespan = std::max(sh.report.makespan, th.clock);
-      th.drain_classified = false;
-      ++retired;
-      if (++th.next_op >= traces.threads[th.index].ops.size()) {
-        th.finished = true;
-      } else {
-        // Re-classify on the fly: hits never evict, insert or fire events, so every
-        // other thread's verdict is still exact — only this thread's top changed.
-        classify(th);
-      }
-    }
-    sh.phase_retired = retired;
-  };
-
   // --- Worker pool ---------------------------------------------------------
 
-  enum class Phase : uint8_t { kScan, kCommit, kOwnerDrain };
+  enum class Phase : uint8_t { kScan, kCommit };
   // Phase-barrier state, fully guarded by `mu` (Clang Thread Safety Analysis proves it
   // in the CI static-analysis job; waits are manual loops because TSA analyzes predicate
   // lambdas as functions that do not hold the caller's capability).
@@ -711,43 +571,29 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     CondVar done_cv;
     uint64_t gen MIND_GUARDED_BY(mu) = 0;
     Phase phase MIND_GUARDED_BY(mu) = Phase::kScan;
-    SimTime horizon MIND_GUARDED_BY(mu) = 0;  // Commit horizon, or owner-drain H_safe.
+    SimTime horizon MIND_GUARDED_BY(mu) = 0;  // Commit horizon.
     int remaining MIND_GUARDED_BY(mu) = 0;
     bool exit MIND_GUARDED_BY(mu) = false;
   } sync;
 
-  // Wall-clock phase mapping for the profiler (lane s written only by the thread running
+  // Wall-clock phase timing for the profiler (lane s written only by the thread running
   // shard s's phase — the mailbox discipline of docs/determinism.md).
-  auto prof_phase = [](Phase p) {
-    switch (p) {
-      case Phase::kScan:
-        return PhaseProfiler::Phase::kScan;
-      case Phase::kCommit:
-        return PhaseProfiler::Phase::kCommit;
-      case Phase::kOwnerDrain:
-        return PhaseProfiler::Phase::kOwnerDrain;
-    }
-    return PhaseProfiler::Phase::kScan;
-  };
   auto run_one = [&](int s, Phase phase, SimTime horizon) {  // MIND_PARALLEL_PHASE
     // Dynamic half of the phase contract: while the scope is live, Rng draws assert.
     // Sequential executions get the same bracket — phase work is draw-free by
-    // construction in every mode (eligibility gates exclude anything that could).
+    // construction in every mode.
     ParallelPhaseScope in_phase;
     const uint64_t prof_start = prof != nullptr ? prof->Begin() : 0;
-    switch (phase) {
-      case Phase::kScan:
-        scan_shard(s);
-        break;
-      case Phase::kCommit:
-        commit_shard(s, horizon);
-        break;
-      case Phase::kOwnerDrain:
-        owner_phase_shard(s, horizon);
-        break;
+    if (phase == Phase::kScan) {
+      scan_shard(s);
+    } else {
+      commit_shard(s, horizon);
     }
     if (prof != nullptr) {
-      prof->End(static_cast<size_t>(s), prof_phase(phase), prof_start);
+      prof->End(static_cast<size_t>(s),
+                phase == Phase::kScan ? PhaseProfiler::Phase::kScan
+                                      : PhaseProfiler::Phase::kCommit,
+                prof_start);
     }
   };
   std::vector<std::thread> workers;
@@ -806,255 +652,60 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
       }
     }
     if (prof != nullptr) {
-      // The coordinator's stall for the slowest shard: the barrier cost the ROADMAP's
-      // H_safe-quantum question asks about, on its own serial-lane track.
+      // The coordinator's stall for the slowest shard: the barrier cost, on its own
+      // serial-lane track.
       prof->End(prof->serial_lane(), PhaseProfiler::Phase::kBarrierWait, wait_start);
     }
   };
 
-  // Serialized drain: the reference algorithm over *all* threads. In bounded mode it
-  // runs until the coherence burst passes and hands back to the parallel phase;
-  // unbounded it IS serial replay, with sampler observation points between ops.
-  // Correctness does not depend on the exit policy. Without an owner contract, every op
-  // takes the global min-heap one at a time (the pre-ownership drain); with one, the
-  // drain runs in sub-rounds — classify every unfinished thread's top op, derive the
-  // safety horizon H_safe = min over threads of (eligible ? clock + min_step : clock),
-  // and either retire all eligible ops below H_safe owner-parallel (their clocks
-  // provably precede every other top, and executed ops land at or past H_safe) or
-  // execute the exact global (clock, thread) minimum serially.
+  // Serialized drain: the reference algorithm over *all* threads, one op at a time off
+  // the global (clock, thread) min-heap. In bounded mode it runs until the coherence
+  // burst passes and hands back to the parallel phase; unbounded it IS serial replay,
+  // with sampler observation points between ops. Correctness does not depend on the exit
+  // policy. The heap buffer persists across invocations: bounded drains run once per
+  // round in coherence-dense stretches, and a fresh buffer per call would pay an
+  // allocation each time.
   using Item = std::pair<SimTime, size_t>;
   std::vector<Item> heap;
   heap.reserve(threads.size());
   const auto heap_cmp = [](const Item& a, const Item& b) { return a > b; };  // Min-heap.
-  // Sequential-mode phase scratch: eligible threads collected by the sub-round scan, so
-  // the phase retires straight off the scan instead of re-scanning every shard's threads
-  // through the worker-pool machinery (the dominant drain overhead at a few ops/phase).
-  std::vector<size_t> phase_seq;
-  phase_seq.reserve(threads.size());
   auto drain = [&](bool bounded, uint32_t max_coherence_ops,  // MIND_SERIALIZED_PATH
                    uint32_t hit_streak_exit) {
     uint32_t coherence_ops = 0;
     uint32_t hit_streak = 0;
-    if (owner_ops == nullptr) {
-      // Pre-ownership serial drain. The min-heap buffer persists across invocations:
-      // bounded drains run once per round in coherence-dense stretches, and a fresh
-      // priority_queue per call would pay an allocation each time.
-      heap.clear();
-      for (size_t t = 0; t < threads.size(); ++t) {
-        if (!threads[t].finished) {
-          heap.emplace_back(threads[t].clock, t);
-        }
+    heap.clear();
+    for (size_t t = 0; t < threads.size(); ++t) {
+      if (!threads[t].finished) {
+        heap.emplace_back(threads[t].clock, t);
       }
-      std::make_heap(heap.begin(), heap.end(), heap_cmp);
-      while (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-        const size_t t = heap.back().second;
-        heap.pop_back();
-        const bool hit = exec_serial(t).hit;
-        if (!threads[t].finished) {
-          heap.emplace_back(threads[t].clock, t);
-          std::push_heap(heap.begin(), heap.end(), heap_cmp);
-        }
-        if (!bounded) {
-          continue;
-        }
-        if (hit) {
-          if (++hit_streak >= hit_streak_exit) {
-            break;
-          }
-        } else {
-          hit_streak = 0;
-          if (++coherence_ops >= max_coherence_ops) {
-            break;
-          }
-        }
-      }
-      return;
     }
-    // Owner-partitioned drain. Everything outside the drain (channel commits, scans,
-    // horizon work) may have moved caches and boundaries, so start from a clean slate.
-    for (ThreadRt& th : threads) {
-      th.drain_classified = false;
-    }
-    drain_boundary = compute_boundary();
-    for (;;) {
-      SimTime h_safe = kNoHorizon;
-      SimTime min_eligible = kNoHorizon;
-      size_t t_min = SIZE_MAX;
-      phase_seq.clear();
-      for (size_t t = 0; t < threads.size(); ++t) {
-        ThreadRt& th = threads[t];
-        if (th.finished) {
-          continue;
-        }
-        classify(th);
-        h_safe = std::min(h_safe, th.drain_eligible ? th.clock + min_step : th.clock);
-        if (th.drain_eligible) {
-          min_eligible = std::min(min_eligible, th.clock);
-          phase_seq.push_back(t);
-        }
-        if (t_min == SIZE_MAX || th.clock < threads[t_min].clock) {
-          t_min = t;  // Ascending t: first occurrence wins clock ties, as the heap would.
-        }
+    std::make_heap(heap.begin(), heap.end(), heap_cmp);
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), heap_cmp);
+      const size_t t = heap.back().second;
+      heap.pop_back();
+      const bool hit = exec_serial(t);
+      if (!threads[t].finished) {
+        heap.emplace_back(threads[t].clock, t);
+        std::push_heap(heap.begin(), heap.end(), heap_cmp);
       }
-      if (t_min == SIZE_MAX) {
-        break;  // All threads finished.
+      if (!bounded) {
+        continue;
       }
-      const bool phase_work = min_eligible < h_safe;
-      if (phase_work) {
-        uint64_t retired = 0;
-        // Bounded drains exist to ride out a coherence burst and hand back to the
-        // channels, whose batched group commits retire hits far cheaper than any drain
-        // path. An uncapped phase would retire every eligible op below H_safe —
-        // overshooting the hit-streak exit and bouncing channel-committable work into
-        // the drain — so cap the phase at the remaining streak budget and retire the
-        // capped prefix in global (clock, index) order. Cap and prefix depend only on
-        // global state, so the drain composition (and the serialized-fraction metric)
-        // stays identical across shard counts and threading modes.
-        const uint64_t budget = bounded ? hit_streak_exit - hit_streak : UINT64_MAX;
-        bool threaded_phase = use_threads;
-        if (use_threads && bounded) {
-          size_t below = 0;
-          for (const size_t t : phase_seq) {
-            below += threads[t].clock < h_safe ? size_t{1} : size_t{0};
-          }
-          threaded_phase = below <= budget;  // Whole phase fits: keep it parallel.
-        }
-        if (threaded_phase) {
-          run_phase(Phase::kOwnerDrain, h_safe);
-          owner_ops->Fold();  // Per-shard counter scratch -> system counters.
-          for (ShardRt& sh : shards) {
-            retired += sh.phase_retired;
-            sh.phase_retired = 0;
-          }
-        } else {
-          // Fused sequential phase: retire straight off the scan's eligible list in
-          // global (clock, index) order. Same-blade threads always share a shard, so
-          // their relative order matches the shard-local sort exactly, and cross-blade
-          // phase ops commute — bit-identical to the shard-major and threaded
-          // executions, minus the per-shard scratch/dispatch per phase.
-          if (phase_seq.size() > 1) {
-            std::sort(phase_seq.begin(), phase_seq.end(), [&](size_t a, size_t b) {
-              return threads[a].clock != threads[b].clock
-                         ? threads[a].clock < threads[b].clock
-                         : threads[a].index < threads[b].index;
-            });
-          }
-          for (const size_t t : phase_seq) {
-            ThreadRt& th = threads[t];
-            if (th.clock >= h_safe || retired >= budget) {
-              break;  // Sorted ascending: every later entry is at or past H_safe.
-            }
-            ShardRt& sh = shards[th.shard];
-            const AccessResult r =
-                system->Access(th.tid, th.blade, th.top_va, th.top_type, th.clock);
-            sh.report.latency_histogram.Record(r.latency);
-            sh.report.latency_sum += r.latency;
-            ++sh.report.drained_ops;
-            ++sh.report.owner_drained;
-            th.last_start = th.clock;
-            th.clock += r.latency + think;
-            if (th.buf_valid && th.buf_pos < th.buf_len) {
-              ++th.buf_pos;  // Run-cursor alignment, exactly as on the serialized step.
-            } else {
-              th.ran_in_drain = true;
-            }
-            sh.report.makespan = std::max(sh.report.makespan, th.clock);
-            th.drain_classified = false;
-            ++retired;
-            if (++th.next_op >= traces.threads[th.index].ops.size()) {
-              th.finished = true;
-            } else {
-              // Hits never evict, insert or fire events — only this thread's verdict
-              // moved; refresh it on the fly for the next sub-round's scan.
-              classify(th);
-            }
-          }
-        }
-        if (exec_sinks[0] != nullptr && retired != 0) [[unlikely]] {
-          // Execution event: one owner-parallel drain sub-round, stamped at its safety
-          // horizon. Deliberately NOT the control sink — the control ring must hold only
-          // the semantic stream, so drop-oldest overflow displaces the same events for
-          // every shard count; round-cadence execution events go to the shard-0 mailbox
-          // (the drain is serialized, so no phase writer is live here).
-          TraceEvent ev;
-          ev.kind = TraceEventKind::kDrainPhase;
-          ev.clock = h_safe;
-          ev.a = retired;
-          ev.b = h_safe;
-          exec_sinks[0]->Emit(ev);
-        }
-        if (bounded) {
-          // Phase ops are hits by construction; the streak accumulates in bulk (any
-          // deterministic, layout-invariant policy preserves bit-identity of results).
-          hit_streak += static_cast<uint32_t>(std::min<uint64_t>(retired, UINT32_MAX));
-          if (hit_streak >= hit_streak_exit) {
-            break;
-          }
+      if (hit) {
+        if (++hit_streak >= hit_streak_exit) {
+          break;
         }
       } else {
-        const SimTime start = threads[t_min].clock;
-        const ComputeBladeId acc_blade = threads[t_min].blade;
-        const VirtAddr acc_va = threads[t_min].top_va;
-        const SerialStep step = exec_serial(t_min);
-        if (start >= drain_boundary || step.failed) {
-          // The step ran at or past a time-driven event (epoch end, scheduled drain,
-          // sampler tick) and may have fired it, or it failed outright (the §4.4 reset
-          // flushes a directory region whose span the result does not carry) — anything
-          // can have moved. Reclassify everything against the fresh boundary.
-          for (ThreadRt& th : threads) {
-            th.drain_classified = false;
-          }
-          drain_boundary = compute_boundary();
-        } else if (!step.hit) {
-          // A sub-boundary miss mutates hit-state only at the accessor's blade (fetch
-          // insert + eviction, lock/swap bookkeeping, prefetch issue) and on remote
-          // copies inside the invalidation span: the accessed page itself (GAM's
-          // page-exact unicast invalidations) plus, when a MIND multicast wave fired,
-          // every page of the directory entry (false invalidations). So only verdicts
-          // matching the blade, the page, or the wave span can have gone stale. The
-          // miss can also *schedule* a new serial boundary (e.g. bounded splitting
-          // opening an epoch): a shrunken boundary invalidates eligible verdicts now
-          // at or past it.
-          const bool waved = step.wave_end > step.wave_base;
-          for (ThreadRt& th : threads) {
-            if (th.drain_classified &&
-                (th.blade == acc_blade || th.top_va == acc_va ||
-                 (waved && th.top_va >= step.wave_base && th.top_va < step.wave_end))) {
-              th.drain_classified = false;
-            }
-          }
-          const SimTime fresh = compute_boundary();
-          if (fresh < drain_boundary) {
-            for (ThreadRt& th : threads) {
-              if (th.drain_classified && th.drain_eligible && th.clock >= fresh) {
-                th.drain_classified = false;
-              }
-            }
-          }
-          drain_boundary = fresh;
-        }
-        // A hit below the boundary fires nothing and never evicts or inserts — only the
-        // executed thread's verdict (cleared inside exec_serial) went stale.
-        if (bounded) {
-          if (step.hit) {
-            if (++hit_streak >= hit_streak_exit) {
-              break;
-            }
-          } else {
-            hit_streak = 0;
-            if (++coherence_ops >= max_coherence_ops) {
-              break;
-            }
-          }
+        hit_streak = 0;
+        if (++coherence_ops >= max_coherence_ops) {
+          break;
         }
       }
     }
   };
 
-  // Serialized drain stretches record on the profiler's serial lane; nested
-  // owner-parallel sub-rounds still record on their shard lanes (the serial-drain
-  // interval contains them — see docs/observability.md).
+  // Serialized drain stretches record on the profiler's serial lane.
   auto timed_drain = [&](bool bounded, uint32_t max_coherence_ops,  // MIND_SERIALIZED_PATH
                          uint32_t hit_streak_exit) {
     const uint64_t drain_start = prof != nullptr ? prof->Begin() : 0;
@@ -1197,17 +848,14 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   uint64_t parallel_hits = 0;
   uint64_t grouped_ops = 0;
   uint64_t drained_ops = 0;
-  uint64_t owner_drained = 0;
   for (const ShardReport& sr : shard_reports_) {
     parallel_hits += sr.parallel_hits;
     grouped_ops += sr.grouped_ops;
     drained_ops += sr.drained_ops;
-    owner_drained += sr.owner_drained;
   }
   metrics_->SetCounter("replay/parallel_hits", parallel_hits);
   metrics_->SetCounter("replay/grouped_ops", grouped_ops);
   metrics_->SetCounter("replay/drained_ops", drained_ops);
-  metrics_->SetCounter("replay/owner_drained", owner_drained);
   if (trace_scope_ != nullptr) {
     (void)system->SetTraceSink(nullptr);  // Detach before the scope can go away.
     trace_scope_->Finalize();

@@ -37,7 +37,6 @@
 #include "src/obs/metrics_registry.h"
 #include "src/obs/phase_profiler.h"
 #include "src/obs/trace_scope.h"
-#include "src/workload/region_ownership.h"
 #include "src/workload/trace.h"
 
 namespace mind {
@@ -116,16 +115,6 @@ struct ReplayOptions {
   // only trade barrier crossings against serialized hit work.
   uint32_t drain_max_coherence_ops = 64;
   uint32_t drain_hit_streak_exit = 2;
-  // Partition the serialized drain itself by directory-region ownership
-  // (src/workload/region_ownership.h): whenever every unfinished thread's next op below
-  // the global safety horizon is an owner-homed blade-local hit (OwnerDrainOps,
-  // memory_system.h), the shards retire those ops concurrently — intra-shard without
-  // barriers — instead of one at a time through the global min-heap. Cross-region
-  // effects, faults, waves and every time-driven boundary still serialize. Like channels
-  // and groups, an execution strategy, never a semantic: results are bit-identical on or
-  // off, for every shard count, and the reference path engages it too. Off = the pure
-  // pre-ownership serial drain (the comparison baseline).
-  bool owner_parallel_drain = true;
   // Base seed for the per-shard RNG streams (stream s draws from seed ^ f(s); reserved
   // for stochastic replay extensions such as jittered think times).
   uint64_t seed = 1;
@@ -137,7 +126,7 @@ struct ReplayOptions {
   PrefetchPolicy prefetch = PrefetchPolicy::kNone;
   // Record a TraceScope (src/obs/trace_scope.h) for the run: semantic events from the
   // systems' serialized paths into the control sink, execution events (channel/group
-  // commits, drain sub-rounds) from the engine into per-shard mailbox sinks. Off — the
+  // commits) from the engine into per-shard mailbox sinks. Off — the
   // default — constructs nothing and leaves the systems' sinks null, so the hot path
   // pays at most one pointer compare per miss and nothing at all on hits.
   bool trace = false;
@@ -152,7 +141,7 @@ struct ShardReport {
   uint64_t parallel_hits = 0;  // Ops committed on the shard's concurrent channel path.
   uint64_t grouped_ops = 0;    // Subset of parallel_hits committed via per-blade groups.
   uint64_t drained_ops = 0;    // This shard's ops executed by the serialized drain.
-  uint64_t owner_drained = 0;  // Subset of drained_ops retired in owner-parallel phases.
+  uint64_t owner_drained = 0;  // Always 0: kept only for perfbench/, removed with it next.
   SimTime makespan = 0;
   uint64_t latency_sum = 0;
   Histogram latency_histogram;
@@ -192,11 +181,6 @@ class ReplayEngine {
     return shard_reports_;
   }
 
-  // Directory-region ownership map built by Setup from the traces (blade-affine majority
-  // homes; see src/workload/region_ownership.h). Tests pick owner/non-owner addresses
-  // through it.
-  [[nodiscard]] const RegionOwnership& ownership() const { return ownership_; }
-
   // Observability artifacts of the last Run (src/obs/). The trace scope is non-null and
   // finalized after a Run with options.trace; the profiler after one with
   // options.profile. The metrics registry always exists after Run: report fields plus
@@ -227,7 +211,6 @@ class ReplayEngine {
   std::vector<ThreadId> thread_ids_;
   std::vector<ComputeBladeId> thread_blades_;
   std::vector<std::vector<LocalOp>> thread_ops_;  // Per-thread VA-resolved trace (lazy).
-  RegionOwnership ownership_;                     // 2 MB region -> home blade (Setup).
   bool setup_done_ = false;
   int effective_shards_ = 0;
   std::vector<ShardReport> shard_reports_;

@@ -5,7 +5,8 @@
 // bit-identical (counters, every histogram bucket, makespan, throughput) to the per-op
 // reference path that issues one virtual MemorySystem::Access per op in exact global
 // order. This is the contract's whole point: channels are an execution strategy, never a
-// semantic.
+// semantic. The reference path itself is pinned to a hand-rolled per-op oracle that
+// shares no code with the engine.
 //
 // Part 2 — channel-level contract: per-2MB-region validity stamps. A run submitted over
 // private regions must survive an invalidation wave that hits a *different* (shared)
@@ -13,10 +14,13 @@
 // stamped regions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/baselines/fastswap.h"
@@ -210,6 +214,75 @@ TEST_P(AccessChannelConformance, BitIdenticalToPerOpReference) {
       }
     }
   }
+}
+
+// Engine-independent oracle: the per-op semantics written out by hand. Segments are
+// allocated in ReplayEngine::kChunkPages chunks and threads registered round-robin over
+// blades, exactly as ReplayEngine::Setup does; then every op goes through
+// MemorySystem::Access in global (clock, thread) order off a min-heap, and a final
+// AdvanceTo runs trailing epoch boundaries.
+ReplayReport OracleReplay(MemorySystem* sys, const WorkloadTraces& traces) {
+  constexpr uint64_t kChunk = ReplayEngine::kChunkPages;
+  std::vector<std::vector<VirtAddr>> chunks(traces.segments.size());
+  for (size_t s = 0; s < traces.segments.size(); ++s) {
+    for (uint64_t first = 0; first < traces.segments[s].pages; first += kChunk) {
+      const uint64_t pages = std::min(kChunk, traces.segments[s].pages - first);
+      chunks[s].push_back(*sys->Alloc(pages * kPageSize));
+    }
+  }
+  const int blades = std::min(traces.num_blades, sys->num_compute_blades());
+  std::vector<ThreadId> tids;
+  std::vector<SimTime> clocks(traces.threads.size(), 0);
+  std::vector<size_t> next(traces.threads.size(), 0);
+  using Item = std::pair<SimTime, size_t>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  for (size_t t = 0; t < traces.threads.size(); ++t) {
+    tids.push_back(*sys->RegisterThread(static_cast<ComputeBladeId>(t % blades)));
+    if (!traces.threads[t].ops.empty()) {
+      heap.emplace(0, t);
+    }
+  }
+  const SystemCounters before = sys->counters();
+  ReplayReport r;
+  uint64_t latency_sum = 0;
+  SimTime last_start = 0;
+  while (!heap.empty()) {
+    const auto [clock, t] = heap.top();
+    heap.pop();
+    const TraceOp& op = traces.threads[t].ops[next[t]];
+    const VirtAddr va = chunks[op.segment][op.page / kChunk] + PageToAddr(op.page % kChunk);
+    const AccessResult res = sys->Access(tids[t], static_cast<ComputeBladeId>(t % blades),
+                                         va, op.type, clock);
+    r.latency_histogram.Record(res.latency);
+    latency_sum += res.latency;
+    last_start = std::max(last_start, clock);
+    clocks[t] = clock + res.latency + traces.think_time;
+    r.makespan = std::max(r.makespan, clocks[t]);
+    ++r.total_ops;
+    if (++next[t] < traces.threads[t].ops.size()) {
+      heap.emplace(clocks[t], t);
+    }
+  }
+  sys->AdvanceTo(last_start);
+  r.counters = sys->counters().DeltaSince(before);
+  r.throughput_mops = static_cast<double>(r.total_ops) / (ToSeconds(r.makespan) * 1e6);
+  r.avg_latency_us = ToMicros(latency_sum) / static_cast<double>(r.total_ops);
+  return r;
+}
+
+TEST_P(AccessChannelConformance, ReferencePathMatchesHandRolledOracle) {
+  const ConformanceCase& c = GetParam();
+  const WorkloadTraces traces = GenerateTraces(c.spec);
+  auto oracle_sys = c.make_system();
+  const ReplayReport want = OracleReplay(oracle_sys.get(), traces);
+  ASSERT_GT(want.total_ops, 0u);
+
+  auto ref_sys = c.make_system();
+  ReplayOptions ref_opts;
+  ref_opts.use_channels = false;
+  ReplayEngine ref(ref_sys.get(), &traces, ref_opts);
+  ASSERT_TRUE(ref.Setup().ok());
+  ExpectReportsIdentical(want, ref.Run());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, AccessChannelConformance,

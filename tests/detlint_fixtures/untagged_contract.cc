@@ -1,8 +1,8 @@
 // detlint-expect: untagged-contract
-// Overrides of the phase-contract methods (OwnerDrainOps, MemorySystem,
-// AccessChannel) must restate their phase tag so the contract stays total:
-// a new system cannot silently opt out of declaring which phase its drain
-// entry points run in.
+// Overrides of the phase-contract methods (MemorySystem, AccessChannel) must
+// restate their phase tag so the contract stays total: a new system cannot
+// silently opt out of declaring which phase its channel entry points run in.
+#include <cstddef>
 #include <cstdint>
 
 #define MIND_PARALLEL_PHASE
@@ -12,20 +12,23 @@ namespace mind {
 
 using SimTime = uint64_t;
 
-class OwnerDrainOps {
+class AccessChannel {
  public:
-  virtual ~OwnerDrainOps() = default;
-  MIND_PARALLEL_PHASE virtual bool Eligible(uint64_t va, SimTime now) const = 0;
-  MIND_SERIALIZED_PATH virtual void Fold() = 0;
+  virtual ~AccessChannel() = default;
+  MIND_PARALLEL_PHASE virtual bool RunValid() const = 0;
+  MIND_PARALLEL_PHASE virtual void Commit(size_t count, SimTime now) = 0;
 };
 
-class MyDrain final : public OwnerDrainOps {
+class MyChannel final : public AccessChannel {
  public:
   // BAD: no phase tag restated on a contract method override.
-  bool Eligible(uint64_t va, SimTime now) const override {
-    return va != 0 && now != 0;
+  bool RunValid() const override { return valid_; }
+  MIND_PARALLEL_PHASE void Commit(size_t count, SimTime now) override {
+    valid_ = count != 0 && now != 0;
   }
-  MIND_SERIALIZED_PATH void Fold() override {}
+
+ private:
+  bool valid_ = true;
 };
 
 }  // namespace mind

@@ -267,132 +267,12 @@ TEST(ShardedReplay, ShardCountClampsToBlades) {
   EXPECT_EQ(engine.effective_shards(), 2);
 }
 
-// --- Directory-region ownership: the owner-parallel drain ---------------------------------
-//
-// ReplayOptions::owner_parallel_drain partitions the serialized drain itself by
-// 2 MB-region ownership (src/workload/region_ownership.h): whenever every unfinished
-// thread's next op below the global safety horizon is an owner-homed blade-local hit,
-// shards retire those ops concurrently instead of one at a time through the global
-// min-heap. Like channels and groups it is an execution strategy, never a semantic —
-// these tests pin the bit-identity, the engagement, and the shard-count invariance of
-// the drain composition.
-
-uint64_t SumOwnerDrained(const std::vector<ShardReport>& reports) {
-  uint64_t n = 0;
-  for (const ShardReport& sr : reports) {
-    n += sr.owner_drained;
-  }
-  return n;
-}
-
-uint64_t SumDrained(const std::vector<ShardReport>& reports) {
-  uint64_t n = 0;
-  for (const ShardReport& sr : reports) {
-    n += sr.drained_ops;
-  }
-  return n;
-}
-
-TEST(OwnershipDrain, ConformanceMatrixBitIdenticalAndEngaged) {
-  // 1/2/4/8 shards x groups on/off, all against the serial reference. The eligibility
-  // gate never consults the shard count (OwnedByAccessor compares the accessor blade to
-  // the region home), so the drain composition — how many ops drained, and how many of
-  // those retired owner-parallel — must be identical across every cell of the matrix.
-  const RackConfig config = TestRackConfig(8);
-  const WorkloadTraces traces = GenerateTraces(HitHeavySpec(8));
-  const ReplayReport want = SerialReference(traces, config);
-  uint64_t owner_expected = 0;
-  uint64_t drained_expected = 0;
-  bool first = true;
-  for (const bool groups : {true, false}) {
-    for (const int shards : {1, 2, 4, 8}) {
-      SCOPED_TRACE(::testing::Message()
-                   << (groups ? "groups" : "plain") << "/" << shards << "shards");
-      ReplayOptions opts;
-      opts.shards = shards;
-      opts.use_channel_groups = groups;
-      std::vector<ShardReport> shard_reports;
-      ExpectReportsIdentical(want, RunSharded(traces, config, opts, &shard_reports));
-      const uint64_t owner = SumOwnerDrained(shard_reports);
-      const uint64_t drained = SumDrained(shard_reports);
-      EXPECT_GT(owner, 0u);  // The owner-parallel phases actually engage.
-      EXPECT_LE(owner, drained);
-      if (first) {
-        owner_expected = owner;
-        drained_expected = drained;
-        first = false;
-      } else {
-        EXPECT_EQ(owner, owner_expected);
-        EXPECT_EQ(drained, drained_expected);
-      }
-    }
-  }
-}
-
-TEST(OwnershipDrain, DisabledDrainIsBitIdenticalBaseline) {
-  // owner_parallel_drain = false is the pre-ownership serial drain: same results, zero
-  // owner-parallel ops — on the channel path and on the per-op reference path alike.
-  const RackConfig config = TestRackConfig(8);
-  const WorkloadTraces traces = GenerateTraces(HitHeavySpec(8));
-  const ReplayReport want = SerialReference(traces, config);
-  for (const int shards : {1, 4}) {
-    SCOPED_TRACE(shards);
-    ReplayOptions opts;
-    opts.shards = shards;
-    opts.owner_parallel_drain = false;
-    std::vector<ShardReport> shard_reports;
-    ExpectReportsIdentical(want, RunSharded(traces, config, opts, &shard_reports));
-    EXPECT_EQ(SumOwnerDrained(shard_reports), 0u);
-  }
-  MindSystem sys(config);
-  ReplayOptions ref;
-  ref.use_channels = false;
-  ref.owner_parallel_drain = false;
-  ReplayEngine engine(&sys, &traces, ref);
-  ASSERT_TRUE(engine.Setup().ok());
-  ExpectReportsIdentical(want, engine.Run());
-  EXPECT_EQ(SumOwnerDrained(engine.shard_reports()), 0u);
-}
-
-TEST(OwnershipDrain, ReferencePathEngagesOwnerParallelDrain) {
-  // use_channels = false drains every op, and the ownership partition must ride along
-  // there too (single shard, sequential owner phases): most of a hit-heavy trace retires
-  // in owner-parallel phases instead of the per-op min-heap.
-  const RackConfig config = TestRackConfig(8);
-  const WorkloadTraces traces = GenerateTraces(HitHeavySpec(8));
-  MindSystem sys(config);
-  ReplayOptions opts;
-  opts.use_channels = false;
-  ReplayEngine engine(&sys, &traces, opts);
-  ASSERT_TRUE(engine.Setup().ok());
-  const ReplayReport report = engine.Run();
-  ASSERT_EQ(engine.shard_reports().size(), 1u);
-  const ShardReport& sr = engine.shard_reports()[0];
-  EXPECT_EQ(sr.drained_ops, report.total_ops);  // Reference path: everything drains.
-  EXPECT_GT(sr.owner_drained, 0u);
-  EXPECT_LE(sr.owner_drained, sr.drained_ops);
-}
-
-TEST(OwnershipDrain, ForcedWorkerThreadsExerciseOwnerPhases) {
-  // Threaded owner phases (AccessOwned + per-shard scratch + Fold) even on single-core
-  // hosts — the TSan-exercised variant of the owner-parallel drain.
-  const RackConfig config = TestRackConfig(8);
-  const WorkloadTraces traces = GenerateTraces(HitHeavySpec(8));
-  const ReplayReport want = SerialReference(traces, config);
-  ReplayOptions opts;
-  opts.shards = 8;
-  opts.force_threads = true;
-  std::vector<ShardReport> shard_reports;
-  ExpectReportsIdentical(want, RunSharded(traces, config, opts, &shard_reports));
-  EXPECT_GT(SumOwnerDrained(shard_reports), 0u);
-}
-
-// A wave owned by one shard invalidating runs submitted on another: thread 0 (blade 0)
-// is the majority accessor — and therefore region owner — of a small shared segment that
-// thread 1 (blade 1) keeps cached copies of; thread 0's writes launch invalidation waves
-// into blade 1 mid-run, while thread 1's own private segment stays homed at blade 1. At
-// two shards the wave crosses shard ownership every time, and the result must still be
-// bit-identical to the serial reference.
+// A wave launched from one shard invalidating runs submitted on another: thread 0
+// (blade 0) hammers a small shared segment that thread 1 (blade 1) keeps cached copies
+// of; thread 0's writes launch invalidation waves into blade 1 mid-run, while thread 1
+// keeps long blade-local runs over its own private segment. At two shards the wave
+// crosses shards every time, and the result must still be bit-identical to the serial
+// reference, with and without per-blade channel groups.
 WorkloadTraces CrossRegionWaveTraces() {
   WorkloadTraces t;
   t.name = "cross-region-wave";
@@ -404,15 +284,14 @@ WorkloadTraces CrossRegionWaveTraces() {
   ThreadTrace t1;
   for (uint64_t i = 0; i < 4000; ++i) {
     // Thread 0: dominated by the shared segment (9 of 10 ops, half writes), sparse
-    // private traffic — the shared region's majority accessor by a wide margin.
+    // private traffic.
     if (i % 10 != 9) {
       t0.ops.push_back({2, i % 4, i % 2 == 0 ? AccessType::kWrite : AccessType::kRead});
     } else {
       t0.ops.push_back({0, i % 512, AccessType::kRead});
     }
-    // Thread 1: long blade-local runs over the middle of its private segment (region
-    // homed at blade 1), with an occasional shared read that caches a copy for thread
-    // 0's next wave to invalidate.
+    // Thread 1: long blade-local runs over the middle of its private segment, with an
+    // occasional shared read that caches a copy for thread 0's next wave to invalidate.
     if (i % 20 == 19) {
       t1.ops.push_back({2, i % 4, AccessType::kRead});
     } else {
@@ -423,25 +302,20 @@ WorkloadTraces CrossRegionWaveTraces() {
   return t;
 }
 
-TEST(OwnershipDrain, CrossRegionWaveInvalidatesOtherShardsRuns) {
+TEST(ShardedReplay, CrossRegionWaveInvalidatesOtherShardsRuns) {
   const RackConfig config = TestRackConfig(2);
   const WorkloadTraces traces = CrossRegionWaveTraces();
   const ReplayReport want = SerialReference(traces, config);
   ASSERT_GT(want.counters.invalidations, 0u);  // The waves actually cross blades.
-  for (const int shards : {1, 2}) {
-    SCOPED_TRACE(shards);
-    ReplayOptions opts;
-    opts.shards = shards;
-    MindSystem sys(config);
-    ReplayEngine engine(&sys, &traces, opts);
-    ASSERT_TRUE(engine.Setup().ok());
-    // The ownership map Setup built splits the two flows as designed: the contended
-    // shared region homes at the wave-launching blade 0, thread 1's private region at
-    // blade 1.
-    EXPECT_EQ(engine.ownership().HomeBlade(engine.AddressOf(2, 0)), 0);
-    EXPECT_EQ(engine.ownership().HomeBlade(engine.AddressOf(1, 256)), 1);
-    ExpectReportsIdentical(want, engine.Run());
-    EXPECT_GT(SumOwnerDrained(engine.shard_reports()), 0u);
+  for (const bool groups : {true, false}) {
+    for (const int shards : {1, 2}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (groups ? "groups" : "plain") << "/" << shards << "shards");
+      ReplayOptions opts;
+      opts.shards = shards;
+      opts.use_channel_groups = groups;
+      ExpectReportsIdentical(want, RunSharded(traces, config, opts));
+    }
   }
 }
 

@@ -7,9 +7,9 @@ The replay engine's determinism contract (docs/determinism.md) has two halves:
     replay executes those in exact global (clock, thread) order for every shard
     count, so the draw/mutation sequence is invariant across 1/2/4/8 shards,
     channel groups on/off, and the per-op reference mode.
-  * PARALLEL phases (channel Submit/Commit rounds, owner-drain sub-rounds) may
-    only touch blade-/thread-/shard-confined state; counters go to per-shard
-    scratch mailboxes that Fold into the system at phase barriers.
+  * PARALLEL phases (channel Submit/Commit rounds) may only touch
+    blade-/thread-/shard-confined state; counters go to per-shard scratch
+    mailboxes that fold into the system at phase barriers.
 
 Functions state which half they belong to with MIND_SERIALIZED_PATH /
 MIND_PARALLEL_PHASE (src/common/thread_annotations.h). Lambdas carry the tag as
@@ -34,8 +34,8 @@ DetLint walks the call graph from every parallel-phase root and rejects:
                             (hash order is not deterministic across libstdc++
                             versions/ASLR; collect+sort instead)
   untagged-contract         a definition of a phase-contract method (Access,
-                            Submit, Commit, Eligible, AccessOwned, Fold, ...)
-                            that does not restate its phase tag
+                            AdvanceTo, Submit, Commit, ValidMask, ...) that
+                            does not restate its phase tag
 
 Escapes (put the marker comment line directly above the offending line):
 
@@ -46,15 +46,12 @@ Escapes (put the marker comment line directly above the offending line):
                                                this file (exempts it from
                                                parallel-counter)
 
-Frontends: a pure-regex scanner (always available, what CI runs) and a libclang
-frontend (--mode libclang) that resolves functions and phase tags from the AST
-via compile_commands.json when the clang python bindings are installed. Both
-feed the same rule engine.
+The frontend is a dependency-free regex scanner: it finds function definitions,
+lambdas and their phase tags in comment-stripped source and feeds the rule
+engine.
 
 Usage:
-    tools/detlint.py [--root DIR] [--mode auto|regex|libclang]
-                     [--compile-commands build/compile_commands.json]
-                     [--self-test] [-v]
+    tools/detlint.py [--root DIR] [--self-test] [-v] [FILE...]
 
 Exit status: 0 = clean, 1 = violations, 2 = usage/internal error.
 """
@@ -79,9 +76,8 @@ RNG_DRAW_NAMES = {
 
 # Phase-contract methods: every definition must restate its tag (totality).
 CONTRACT_NAMES = {
-    # MemorySystem / OwnerDrainOps (src/baselines/memory_system.h)
+    # MemorySystem (src/baselines/memory_system.h)
     "Access", "AdvanceTo",
-    "Eligible", "AccessOwned", "MinEligibleCost", "NextSerialBoundary", "Fold",
     # AccessChannel / ChannelGroup (src/core/access_channel.h)
     "Submit", "RunValid", "Commit", "ValidMask", "CommitMerged",
     # Fault plane (src/net/reliability.h)
@@ -485,48 +481,6 @@ def _assign_own_lines(fi, functions):
 
 
 # --------------------------------------------------------------------------
-# libclang frontend (optional)
-# --------------------------------------------------------------------------
-
-def scan_functions_libclang(fi, index, compile_args):
-    """AST-accurate function discovery: names from cursors, phase tags from
-    [[clang::annotate]] attributes. Body text still comes from the stripped
-    source slice (the mutation/call regexes are source-level either way)."""
-    import clang.cindex as ci
-    tu = index.parse(fi.path, args=compile_args)
-    functions = []
-    fn_kinds = (ci.CursorKind.CXX_METHOD, ci.CursorKind.FUNCTION_DECL,
-                ci.CursorKind.CONSTRUCTOR, ci.CursorKind.LAMBDA_EXPR)
-
-    def annotate_tag(cur):
-        for ch in cur.get_children():
-            if ch.kind == ci.CursorKind.ANNOTATE_ATTR:
-                if ch.spelling == "mind::parallel_phase":
-                    return PARALLEL
-                if ch.spelling == "mind::serialized_path":
-                    return SERIALIZED
-        return None
-
-    def visit(cur):
-        for ch in cur.get_children():
-            if ch.location.file and ch.location.file.name != fi.path:
-                continue
-            if ch.kind in fn_kinds:
-                ext = ch.extent
-                start, end = ext.start.line, ext.end.line
-                body = [(n, fi.code_lines[n - 1])
-                        for n in range(start, min(end, len(fi.code_lines)) + 1)]
-                functions.append(FunctionInfo(
-                    ch.spelling or "<lambda>", annotate_tag(ch), fi.path,
-                    start, body, is_def=ch.is_definition(),
-                    is_contract_site=True))
-            visit(ch)
-
-    visit(tu.cursor)
-    return functions
-
-
-# --------------------------------------------------------------------------
 # Rule engine
 # --------------------------------------------------------------------------
 
@@ -719,24 +673,9 @@ def paired_header_code(path, all_paths):
     return None
 
 
-def lint_paths(paths, mode="regex", compile_commands=None, verbose=False):
+def lint_paths(paths, verbose=False):
     files, functions = [], []
     all_paths = set(paths)
-
-    index = None
-    compile_args_for = {}
-    if mode == "libclang":
-        import clang.cindex as ci
-        index = ci.Index.create()
-        if compile_commands:
-            db = ci.CompilationDatabase.fromDirectory(
-                os.path.dirname(os.path.abspath(compile_commands)))
-            for p in paths:
-                cmds = db.getCompileCommands(p)
-                if cmds:
-                    args = [a for a in list(cmds[0].arguments)[1:-1]
-                            if a not in ("-c", "-o")]
-                    compile_args_for[p] = args
 
     for path in sorted(paths):
         fi = load_file(path)
@@ -746,11 +685,7 @@ def lint_paths(paths, mode="regex", compile_commands=None, verbose=False):
         # tagged declarations. Markers/banned rules still apply to it.
         if path.endswith("thread_annotations.h"):
             continue
-        if mode == "libclang":
-            functions.extend(scan_functions_libclang(
-                fi, index, compile_args_for.get(path, ["-std=c++20"])))
-        else:
-            functions.extend(scan_functions_regex(fi))
+        functions.extend(scan_functions_regex(fi))
 
     engine = RuleEngine(files, functions, verbose=verbose)
     findings = engine.run_all()
@@ -779,7 +714,7 @@ def source_files(root):
 EXPECT_RE = re.compile(r"//\s*detlint-expect:\s*([\w-]+)")
 
 
-def self_test(root, mode, verbose):
+def self_test(root, verbose):
     fixture_dir = os.path.join(root, "tests", "detlint_fixtures")
     fixtures = sorted(
         os.path.join(fixture_dir, f) for f in os.listdir(fixture_dir)
@@ -797,7 +732,7 @@ def self_test(root, mode, verbose):
             failures += 1
             continue
         expect = m.group(1)
-        findings = lint_paths([path], mode=mode, verbose=False)
+        findings = lint_paths([path], verbose=False)
         rules = sorted({f.rule for f in findings})
         if expect == "clean":
             ok = not findings
@@ -821,47 +756,25 @@ def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
-    ap.add_argument("--mode", choices=("auto", "regex", "libclang"),
-                    default="auto")
-    ap.add_argument("--compile-commands", default=None,
-                    help="compile_commands.json for the libclang frontend")
     ap.add_argument("--self-test", action="store_true")
     ap.add_argument("-v", "--verbose", action="store_true")
     ap.add_argument("files", nargs="*",
                     help="lint only these files (default: all of src/)")
     args = ap.parse_args(argv)
 
-    mode = args.mode
-    if mode in ("auto", "libclang"):
-        try:
-            import clang.cindex  # noqa: F401
-            mode = "libclang"
-        except ImportError:
-            if mode == "libclang":
-                print("detlint: --mode libclang requested but the clang "
-                      "python bindings are not importable", file=sys.stderr)
-                return 2
-            mode = "regex"
-
     if args.self_test:
-        return self_test(args.root, mode, args.verbose)
+        return self_test(args.root, args.verbose)
 
     paths = args.files or source_files(args.root)
     if not paths:
         print("detlint: nothing to lint under %s/src" % args.root,
               file=sys.stderr)
         return 2
-    cc = args.compile_commands
-    if mode == "libclang" and cc is None:
-        cand = os.path.join(args.root, "build", "compile_commands.json")
-        cc = cand if os.path.exists(cand) else None
-    findings = lint_paths(paths, mode=mode, compile_commands=cc,
-                          verbose=args.verbose)
+    findings = lint_paths(paths, verbose=args.verbose)
     for f in findings:
         print(f)
     if findings:
-        print("detlint: %d violation(s) [%s frontend]" %
-              (len(findings), mode), file=sys.stderr)
+        print("detlint: %d violation(s)" % len(findings), file=sys.stderr)
     return 1 if findings else 0
 
 
