@@ -150,6 +150,24 @@ void BM_DramCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_DramCacheHit);
 
+// Speculative install into a full 8192-frame cache (32 MB, the swap_stream geometry) at
+// a fixed cold depth: every install evicts the LRU tail and links the new frame `depth`
+// frames above it (DramCache::InsertPrefetched). 8 and 512 are
+// BladePrefetchState's depth floor and ceiling.
+void BM_DramCacheInsertPrefetched(benchmark::State& state) {
+  constexpr uint64_t kFrames = 8192;
+  const auto depth = static_cast<uint32_t>(state.range(0));
+  DramCache cache(kFrames, false);
+  uint64_t p = 0;
+  for (; p < kFrames; ++p) {
+    (void)cache.Insert(p, false);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.InsertPrefetched(p++, false, nullptr, 0, depth));
+  }
+}
+BENCHMARK(BM_DramCacheInsertPrefetched)->Arg(8)->Arg(512);
+
 // The per-blade group merge-commit walk (src/core/channel_group.h) at small and large
 // lane counts: 4 lanes exercises the branchy linear argmin scan, 32 lanes the
 // GroupMergeLoserTree (crossover at kGroupMergeLinearScanMax). Per-op (non-uniform)

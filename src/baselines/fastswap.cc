@@ -65,18 +65,15 @@ MIND_SERIALIZED_PATH AccessResult FastSwapSystem::Access(ThreadId tid, ComputeBl
     if (DramCache::Frame* frame = cache_->Lookup(page); frame != nullptr) {
       return hit(frame);  // An arrived prefetch covers this fault.
     }
-    if (auto it = prefetch_.in_flight.find(page); it != prefetch_.in_flight.end()) {
+    if (const auto entry = prefetch_.TakeLate(page); entry.has_value()) {
       // Demand fault joins the in-flight swap-in: resolves when the data lands (a late
       // prefetch — shortened the stall without hiding it). Read-write install, so the
       // demand completes either way.
-      const BladePrefetchState::InFlight entry = it->second;
-      prefetch_.in_flight.erase(it);
-      prefetch_.RecomputeNextReady();
-      entry.owner->OnLate();
+      entry->owner->OnLate();
       ++counters_.remote_accesses;
       // The thread still takes the page-fault trap, then blocks until the data lands.
       const SimTime landed =
-          std::max(now + lat().page_fault_entry, entry.ready_at);
+          std::max(now + lat().page_fault_entry, entry->ready_at);
       InstallPage(page, landed, /*prefetched=*/false, nullptr);
       if (type == AccessType::kWrite) {
         cache_->MarkDirty(page);
@@ -179,7 +176,7 @@ void FastSwapSystem::InstallPage(uint64_t page, SimTime now, bool prefetched,
     }
   }
   if (prefetched) {
-    prefetch_.unused[page] = owner;
+    prefetch_.NoteInstalled(page, owner);
   }
 }
 
@@ -237,8 +234,7 @@ void FastSwapSystem::IssuePrefetches(PrefetchEngine& engine, uint64_t page, SimT
     if (va < first_va_ || va >= next_va_) {
       continue;  // Never swap in past the allocated address space.
     }
-    if (cache_->Find(p) != nullptr ||
-        prefetch_.in_flight.find(p) != prefetch_.in_flight.end()) {
+    if (cache_->Find(p) != nullptr || prefetch_.Contains(p)) {
       continue;
     }
     // Frontswap read-ahead: the demand fetch's exact hops, issued after it and queueing
@@ -250,9 +246,7 @@ void FastSwapSystem::IssuePrefetches(PrefetchEngine& engine, uint64_t page, SimT
                                     lat().memory_blade_service);
     const SimTime ready = pf_rtt.complete + lat().pte_install;
     engine.OnIssued();
-    prefetch_.in_flight[p] =
-        BladePrefetchState::InFlight{ready, 0, &engine, /*pdid=*/0};
-    prefetch_.NoteIssued(ready);
+    prefetch_.Issue(p, BladePrefetchState::InFlight{ready, 0, &engine, /*pdid=*/0});
     last_issued = p;
     issued_any = true;
     ++issued_count;

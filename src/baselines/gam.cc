@@ -119,11 +119,8 @@ MIND_SERIALIZED_PATH AccessResult GamSystem::Access(ThreadId tid, ComputeBladeId
     frame = local.cache->Lookup(page);
     hit = is_hit();
     if (!hit) {
-      if (auto it = local.prefetch.in_flight.find(page);
-          it != local.prefetch.in_flight.end()) {
-        const BladePrefetchState::InFlight entry = it->second;
-        local.prefetch.in_flight.erase(it);
-        local.prefetch.RecomputeNextReady();
+      if (const auto joined = local.prefetch.TakeLate(page); joined.has_value()) {
+        const BladePrefetchState::InFlight& entry = *joined;
         const bool stale =
             local.cache->region_inval_version(DramCache::RegionOf(page)) !=
             entry.inval_stamp;
@@ -439,7 +436,7 @@ void GamSystem::InstallReadyPrefetches(ComputeBladeId blade, SimTime now) {
         ++counters_.pages_flushed;
       }
     }
-    bp.unused[page] = entry.owner;
+    bp.NoteInstalled(page, entry.owner);
   }
   if (!bp.rearm_requests.empty()) {
     // Re-arm requests from hit paths and channel/group commits: issue the next window at
@@ -483,8 +480,7 @@ void GamSystem::IssuePrefetches(PrefetchEngine& engine, ComputeBladeId blade,
     if (va < first_va_ || va >= next_va_) {
       continue;  // Never speculate past the allocated address space.
     }
-    if (local.cache->Find(p) != nullptr ||
-        local.prefetch.in_flight.find(p) != local.prefetch.in_flight.end()) {
+    if (local.cache->Find(p) != nullptr || local.prefetch.Contains(p)) {
       continue;
     }
     // The library issues the speculative read behind the blade's FIFO lock: speculation
@@ -516,10 +512,9 @@ void GamSystem::IssuePrefetches(PrefetchEngine& engine, ComputeBladeId blade,
     }
     const SimTime ready = FetchFromMemory(p, blade, t);
     engine.OnIssued();
-    local.prefetch.in_flight[p] = BladePrefetchState::InFlight{
+    local.prefetch.Issue(p, BladePrefetchState::InFlight{
         ready, local.cache->region_inval_version(DramCache::RegionOf(p)), &engine,
-        /*pdid=*/0};
-    local.prefetch.NoteIssued(ready);
+        /*pdid=*/0});
     last_issued = p;
     issued_any = true;
     ++issued_count;

@@ -30,17 +30,43 @@ void DramCache::LruPushFront(Frame& frame) {
   lru_head_ = frame.self;
 }
 
-void DramCache::LruInsertAtDepth(Frame& frame, uint32_t depth) {
-  // Walk `depth` frames up from the cold end; the new frame links between the walked
-  // prefix (stays colder) and the rest (stays warmer). O(depth), bounded by the caller's
-  // adaptive depth — and only ever paid on speculative installs, never on hits.
-  uint32_t colder = kNilFrame;    // Becomes frame.lru_next.
-  uint32_t warmer = lru_tail_;    // Becomes frame.lru_prev.
-  while (depth > 0 && warmer != kNilFrame) {
-    colder = warmer;
-    warmer = FrameAt(warmer).lru_prev;
-    --depth;
+inline void DramCache::MoveToFront(Frame& frame) {
+  if (lru_head_ == frame.self) {
+    return;  // Already most recent.
   }
+  if (frame.cold) [[unlikely]] {
+    LeaveColdSegment(frame);
+  }
+  LruUnlink(frame);
+  LruPushFront(frame);
+}
+
+void DramCache::LeaveColdSegment(Frame& frame) {
+  if (cold_cursor_ == frame.self) {
+    cold_cursor_ = frame.lru_next;  // The next-warmest cold frame (kNilFrame if none).
+  }
+  frame.cold = false;
+  --cold_count_;
+}
+
+void DramCache::LruInsertAtDepth(Frame& frame, uint32_t depth) {
+  // Resize the cold segment to the target depth from where the last speculative install
+  // left it: one cursor step per frame the segment gained or lost in between.
+  const auto target = static_cast<uint32_t>(std::min<uint64_t>(depth, index_.size()));
+  while (cold_count_ < target) {
+    cold_cursor_ = cold_cursor_ == kNilFrame ? lru_tail_ : FrameAt(cold_cursor_).lru_prev;
+    FrameAt(cold_cursor_).cold = true;
+    ++cold_count_;
+  }
+  while (cold_count_ > target) {
+    Frame& warmest = FrameAt(cold_cursor_);
+    warmest.cold = false;
+    cold_cursor_ = warmest.lru_next;
+    --cold_count_;
+  }
+  // The new frame links between the segment (stays colder) and the rest (stays warmer).
+  const uint32_t colder = cold_cursor_;  // Becomes frame.lru_next.
+  const uint32_t warmer = colder == kNilFrame ? lru_tail_ : FrameAt(colder).lru_prev;
   frame.lru_next = colder;
   frame.lru_prev = warmer;
   if (colder != kNilFrame) {
@@ -78,7 +104,7 @@ DramCache::Frame* DramCache::Lookup(uint64_t page) {
     return nullptr;
   }
   Frame& frame = FrameAt(*idxp);
-  Touch(&frame);
+  MoveToFront(frame);
   return &frame;
 }
 
@@ -92,18 +118,15 @@ const DramCache::Frame* DramCache::Peek(uint64_t page) const {
   return idxp == nullptr ? nullptr : &FrameAt(*idxp);
 }
 
-void DramCache::Touch(Frame* frame) {
-  if (lru_head_ == frame->self) {
-    return;  // Already most recent.
-  }
-  LruUnlink(*frame);
-  LruPushFront(*frame);
-}
+void DramCache::Touch(Frame* frame) { MoveToFront(*frame); }
 
 DramCache::Eviction DramCache::RemoveFrame(uint32_t idx) {
   Frame& frame = FrameAt(idx);
   BumpRegion(frame.page);
   Eviction ev{frame.page, frame.dirty, std::move(frame.data)};
+  if (frame.cold) {
+    LeaveColdSegment(frame);
+  }
   LruUnlink(frame);
   index_.Erase(frame.page);
   IndexClearPage(frame.page);
@@ -136,6 +159,7 @@ std::optional<DramCache::Eviction> DramCache::EmplaceNewFrame(uint64_t page, boo
   frame.writable = writable;
   frame.dirty = false;
   frame.prefetched = prefetched;  // Arena slots recycle: always written explicitly.
+  frame.cold = false;
   frame.pdid = pdid;
   frame.page = page;
   frame.self = idx;

@@ -67,6 +67,10 @@ class DramCache {
     uint32_t self = 0;
     uint32_t lru_prev = 0;
     uint32_t lru_next = 0;
+    // Member of the cold LRU segment (see cold_cursor_). Lives in the tail padding next
+    // to the links Touch already reads: the frame stays 48 bytes and the check costs the
+    // hit path no extra cache line.
+    bool cold = false;
   };
 
   // Returns the frame caching `page` (a page number), or nullptr. Bumps LRU recency.
@@ -99,6 +103,8 @@ class DramCache {
   // demand touch promotes it through the ordinary Touch path). `lru_depth` >= current
   // size degenerates to an MRU insert. Callers are expected to have deduplicated against
   // the cache (a page already present takes the demand-style Insert path instead).
+  // Amortized O(1): the insertion point is found from the cold-segment cursor, which
+  // moves only by the change in min(lru_depth, size) since the last speculative install.
   std::optional<Eviction> InsertPrefetched(uint64_t page, bool writable,
                                            const PageData* bytes, ProtDomainId pdid,
                                            uint32_t lru_depth);
@@ -223,8 +229,14 @@ class DramCache {
 
   void LruUnlink(Frame& frame);
   void LruPushFront(Frame& frame);
-  // Links a new frame so exactly min(depth, size) existing frames are colder than it.
+  // Touch's body; defined inline in dram_cache.cc so Lookup inlines it.
+  void MoveToFront(Frame& frame);
+  // Links a new frame so exactly min(depth, size) existing frames are colder than it:
+  // resizes the cold segment to that many frames, then links the frame just warmer than
+  // cold_cursor_. The new frame itself is not cold.
   void LruInsertAtDepth(Frame& frame, uint32_t depth);
+  // Drops a cold `frame` from the cold segment before it is unlinked.
+  void LeaveColdSegment(Frame& frame);
   // The shared construction path of Insert and InsertPrefetched for a page not yet
   // cached: evict under capacity pressure, build the frame, link at `lru_depth`
   // (kMruDepth = MRU), index. Callers bump the region themselves.
@@ -255,6 +267,13 @@ class DramCache {
   ChunkedArena<Frame, /*kChunkShift=*/12> arena_;
   uint32_t lru_head_ = kNilFrame;  // Most recently used.
   uint32_t lru_tail_ = kNilFrame;  // Least recently used.
+  // Cold segment (InnoDB's midpoint-insertion LRU_old pointer): the frames flagged
+  // Frame::cold are exactly the cold_count_ frames nearest lru_tail_, and cold_cursor_ is
+  // the warmest of them (kNilFrame when the segment is empty). Touch and RemoveFrame drop
+  // a cold frame from the segment in O(1); only InsertPrefetched grows it, by walking the
+  // cursor warmer.
+  uint32_t cold_cursor_ = kNilFrame;
+  uint32_t cold_count_ = 0;
   uint64_t version_ = 0;           // Global mutation ordinal feeding region_version().
   // Region number -> last mutation version (never erased; see region_version()).
   FlatMap64<uint64_t> region_versions_;
@@ -266,6 +285,8 @@ class DramCache {
   static constexpr uint64_t kWideInvalRegions = 32;
   std::unordered_map<uint64_t, Region> regions_;  // Region number -> presence bitmap.
 };
+
+static_assert(sizeof(DramCache::Frame) == 48, "Frame grew past 48 bytes");
 
 }  // namespace mind
 

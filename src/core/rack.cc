@@ -876,10 +876,8 @@ bool Rack::ServiceViaPrefetch(const AccessRequest& req, SimTime now, uint64_t pa
   // Speculation never widens access: everything below re-checks the protection table
   // for the *demanding* (thread, domain), exactly as the fault path would.
   const bool allowed = protection_.Allows(req.pdid, req.va, req.type);
-  if (auto it = bp.in_flight.find(page); allowed && it != bp.in_flight.end()) {
-    const BladePrefetchState::InFlight entry = it->second;
-    bp.in_flight.erase(it);
-    bp.RecomputeNextReady();
+  if (const auto joined = allowed ? bp.TakeLate(page) : std::nullopt; joined.has_value()) {
+    const BladePrefetchState::InFlight& entry = *joined;
     const bool stale = blade.cache().region_inval_version(DramCache::RegionOf(page)) !=
                        entry.inval_stamp;
     if (!stale && req.type == AccessType::kRead && *frame == nullptr) {
@@ -978,7 +976,7 @@ void Rack::InstallReadyPrefetches(ComputeBladeId blade_id, SimTime now) {
     }
     InsertIntoCache(blade_id, page, /*writable=*/false, PeekPageBytes(PageToAddr(page)),
                     entry.ready_at, entry.pdid, /*prefetched=*/true);
-    bp.unused[page] = entry.owner;
+    bp.NoteInstalled(page, entry.owner);
   }
   if (!bp.rearm_requests.empty()) {
     // Re-arm requests recorded by hit paths and channel/group commits: engines whose
@@ -1025,7 +1023,7 @@ void Rack::IssuePrefetches(PrefetchEngine& engine, ComputeBladeId blade_id,
     if (!engine.HasInFlightRoom()) {
       break;  // Bounded in-flight queue.
     }
-    if (cache.Find(p) != nullptr || bp.in_flight.find(p) != bp.in_flight.end()) {
+    if (cache.Find(p) != nullptr || bp.Contains(p)) {
       continue;
     }
     const VirtAddr va = PageToAddr(p);
@@ -1065,9 +1063,8 @@ void Rack::IssuePrefetches(PrefetchEngine& engine, ComputeBladeId blade_id,
     const SimTime ready =
         FetchPageFromMemory(va, blade_id, at_switch, &bytes) + lat_.pte_install;
     engine.OnIssued();
-    bp.in_flight[p] = BladePrefetchState::InFlight{
-        ready, cache.region_inval_version(DramCache::RegionOf(p)), &engine, pdid};
-    bp.NoteIssued(ready);
+    bp.Issue(p, BladePrefetchState::InFlight{
+        ready, cache.region_inval_version(DramCache::RegionOf(p)), &engine, pdid});
     last_issued = p;
     ++issued_count;
     issued_any = true;

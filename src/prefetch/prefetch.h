@@ -34,8 +34,10 @@
 #define MIND_SRC_PREFETCH_PREFETCH_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -238,11 +240,16 @@ class PrefetchEngine {
     rearm_pending_ = false;
     return rearm_page_;
   }
-  // Installed page left the cache without ever being touched.
-  void OnEvictedUnused() {
-    ++stats_.evicted_unused;
+  // Installed page left the cache without ever being touched: shrink, and count it
+  // unless the lazy classification (CountEvictedUnused) already did.
+  void OnEvictedUnused(bool counted = false) {
+    if (!counted) {
+      CountEvictedUnused();
+    }
     Shrink();
   }
+  // Count-only classification of an untouched page that left the cache silently.
+  void CountEvictedUnused() { ++stats_.evicted_unused; }
   // The target blade's fabric port crossed the occupancy threshold: the window was
   // skipped outright (speculation must not deepen a queue demand traffic is stuck in).
   void OnFabricPressure() {
@@ -272,9 +279,20 @@ class PrefetchEngine {
   uint64_t rearm_page_ = 0;
 };
 
-// Per-blade bookkeeping shared by that blade's engines: the in-flight table (page ->
-// pending fetch) and the installed-but-unused table that classifies useful vs
-// evicted-unused. Mutated only under the serialized drain or same-blade channel commits.
+// Per-blade bookkeeping shared by that blade's engines: the in-flight queue (page ->
+// pending fetch, ordered by arrival) and the installed-but-unused table that classifies
+// useful vs evicted-unused. Mutated only under the serialized drain or same-blade channel
+// commits.
+//
+// In-flight contract. A page is in flight from Issue until exactly one of TakeLate (a
+// demand miss joined it) or TakeReady (it arrived) hands its entry back. TakeReady yields
+// arrived entries in ascending (ready_at, page) order: install order decides LRU recency —
+// and therefore eviction choice — so it must be deterministic, never hash-map iteration
+// order. next_ready() is the earliest pending arrival (all-ones when nothing is in
+// flight); a TakeReady before it returns without touching any entry.
+// Backing: a page -> entry map plus a (ready_at, page) min-heap with lazy deletion — a
+// heap entry is live only while the map still holds that page with that ready_at, so
+// TakeLate never searches the heap, and every operation is O(log n) amortized.
 class BladePrefetchState {
  public:
   struct InFlight {
@@ -284,8 +302,51 @@ class BladePrefetchState {
     ProtDomainId pdid = 0;
   };
 
-  std::unordered_map<uint64_t, InFlight> in_flight;        // page -> pending fetch.
-  std::unordered_map<uint64_t, PrefetchEngine*> unused;    // installed, never touched.
+  // Starts tracking a fetch for `page`, which must not already be in flight.
+  void Issue(uint64_t page, const InFlight& entry) {
+    const bool inserted = in_flight_.emplace(page, entry).second;
+    assert(inserted && "page already in flight");
+    (void)inserted;
+    ready_heap_.emplace_back(entry.ready_at, page);
+    std::push_heap(ready_heap_.begin(), ready_heap_.end(), std::greater<>());
+  }
+
+  [[nodiscard]] bool Contains(uint64_t page) const { return in_flight_.count(page) != 0; }
+
+  // Removes and returns `page`'s pending fetch (a demand miss joining it), if any.
+  [[nodiscard]] std::optional<InFlight> TakeLate(uint64_t page) {
+    auto it = in_flight_.find(page);
+    if (it == in_flight_.end()) {
+      return std::nullopt;
+    }
+    const InFlight entry = it->second;
+    in_flight_.erase(it);
+    PopDeadHeapTop();  // Keeps next_ready() exact.
+    return entry;
+  }
+
+  // Removes and returns the entries whose fetch has arrived by `now`, in (ready_at, page)
+  // order. The returned buffer is reused: it stays valid until the next TakeReady call.
+  MIND_SERIALIZED_PATH [[nodiscard]] const std::vector<std::pair<uint64_t, InFlight>>&
+  TakeReady(SimTime now) {
+    ready_.clear();
+    while (!ready_heap_.empty() && ready_heap_.front().first <= now) {
+      const auto [ready_at, page] = ready_heap_.front();
+      std::pop_heap(ready_heap_.begin(), ready_heap_.end(), std::greater<>());
+      ready_heap_.pop_back();
+      auto it = in_flight_.find(page);
+      if (it != in_flight_.end() && it->second.ready_at == ready_at) {
+        ready_.emplace_back(page, it->second);
+        in_flight_.erase(it);
+      }
+    }
+    PopDeadHeapTop();
+    return ready_;
+  }
+
+  [[nodiscard]] SimTime next_ready() const {
+    return ready_heap_.empty() ? ~SimTime{0} : ready_heap_.front().first;
+  }
 
   // Re-arm requests recorded by hit paths and channel/group commits (an engine whose
   // useful touches crossed its issued window's midpoint, with the page to predict from
@@ -298,48 +359,6 @@ class BladePrefetchState {
   };
   std::vector<Rearm> rearm_requests;
 
-  // Earliest in-flight arrival; lets the per-access install hook skip the table scan
-  // while nothing can be ready yet.
-  [[nodiscard]] SimTime next_ready() const { return next_ready_; }
-  void NoteIssued(SimTime ready_at) {
-    next_ready_ = in_flight.empty() ? ready_at : std::min(next_ready_, ready_at);
-  }
-  void RecomputeNextReady() {
-    next_ready_ = ~SimTime{0};
-    // detlint: allow(unordered-iteration): pure min-reduce; order-invariant.
-    for (const auto& [page, entry] : in_flight) {
-      next_ready_ = std::min(next_ready_, entry.ready_at);
-    }
-  }
-
-  // Removes and returns the entries whose fetch has arrived by `now`, sorted by
-  // (ready_at, page): install order decides LRU recency — and therefore eviction
-  // choice — so it must be deterministic, never hash-map iteration order.
-  MIND_SERIALIZED_PATH [[nodiscard]] std::vector<std::pair<uint64_t, InFlight>> TakeReady(
-      SimTime now) {
-    std::vector<std::pair<uint64_t, InFlight>> ready;
-    if (in_flight.empty() || now < next_ready_) {
-      return ready;
-    }
-    // detlint: allow(unordered-iteration): collected entries are sorted by
-    // (ready_at, page) below before anything order-sensitive consumes them.
-    for (auto it = in_flight.begin(); it != in_flight.end();) {
-      if (it->second.ready_at > now) {
-        ++it;
-      } else {
-        ready.emplace_back(it->first, it->second);
-        it = in_flight.erase(it);
-      }
-    }
-    std::sort(ready.begin(), ready.end(), [](const auto& a, const auto& b) {
-      return a.second.ready_at != b.second.ready_at
-                 ? a.second.ready_at < b.second.ready_at
-                 : a.first < b.first;
-    });
-    RecomputeNextReady();
-    return ready;
-  }
-
   // Adaptive cold-insertion depth for speculative installs (prefetch-aware eviction
   // priority, DramCache::InsertPrefetched): prefetched pages enter the blade cache this
   // many frames above the LRU tail instead of at MRU, so a mispredicting burst churns
@@ -350,21 +369,34 @@ class BladePrefetchState {
   static constexpr uint32_t kMinColdDepth = 8;
   static constexpr uint32_t kMaxColdDepth = 512;
 
-  // Resolves installed-but-unused entries whose pages already left the cache (waves drop
+  // A prefetched copy of `page` was just installed on behalf of `owner`. An entry
+  // already recorded for the page belongs to an earlier copy that left the cache
+  // untouched without an eviction record (an invalidation wave dropped it): it is
+  // evicted-unused, counted here unless ResolveEvictedUnused already counted it.
+  void NoteInstalled(uint64_t page, PrefetchEngine* owner) {
+    auto [it, fresh] = unused_.try_emplace(page, Unused{owner, false});
+    if (!fresh) {
+      if (!it->second.counted) {
+        it->second.owner->CountEvictedUnused();
+      }
+      it->second = Unused{owner, false};
+    }
+  }
+
+  // Counts installed-but-unused entries whose pages already left the cache (waves drop
   // clean pages without reporting them, so evicted-unused classifies lazily here).
   // `still_prefetched(page)` reports whether the page is still cached with its
-  // prefetched marking intact.
+  // prefetched marking intact. Count-only — no window or depth feedback, and the entry
+  // stays (marked counted) for the eviction and install hooks to settle exactly as they
+  // would have without this call — so reading the stats never steers the prefetcher.
   template <typename StillPrefetchedFn>
   MIND_SERIALIZED_PATH void ResolveEvictedUnused(StillPrefetchedFn&& still_prefetched) {
     // detlint: allow(unordered-iteration): per-entry counter bumps commute; no
     // order-sensitive state is derived from the visit order.
-    for (auto it = unused.begin(); it != unused.end();) {
-      if (still_prefetched(it->first)) {
-        ++it;
-      } else {
-        it->second->OnEvictedUnused();
-        ShrinkColdDepth();
-        it = unused.erase(it);
+    for (auto& [page, entry] : unused_) {
+      if (!entry.counted && !still_prefetched(page)) {
+        entry.owner->CountEvictedUnused();
+        entry.counted = true;
       }
     }
   }
@@ -375,11 +407,11 @@ class BladePrefetchState {
   // Reached from channel/group commits as well as serialized hit paths; tagged for the
   // stricter context (all mutations are blade- or engine-confined mailboxes).
   MIND_PARALLEL_PHASE void OnPrefetchedTouch(uint64_t page, ProtDomainId pdid = 0) {
-    auto it = unused.find(page);
-    if (it != unused.end()) {
-      PrefetchEngine* engine = it->second;
+    auto it = unused_.find(page);
+    if (it != unused_.end()) {
+      PrefetchEngine* engine = it->second.owner;
       engine->OnUseful(page);
-      unused.erase(it);
+      unused_.erase(it);
       cold_depth_ = std::min(cold_depth_ + 8, kMaxColdDepth);
       if (auto rearm = engine->TakeRearm(); rearm.has_value()) {
         rearm_requests.push_back(Rearm{engine, *rearm, pdid});
@@ -389,18 +421,39 @@ class BladePrefetchState {
 
   // Eviction feedback: a page leaving the cache that was installed-but-unused.
   void OnPageEvicted(uint64_t page) {
-    auto it = unused.find(page);
-    if (it != unused.end()) {
-      it->second->OnEvictedUnused();
+    auto it = unused_.find(page);
+    if (it != unused_.end()) {
+      it->second.owner->OnEvictedUnused(/*counted=*/it->second.counted);
       ShrinkColdDepth();
-      unused.erase(it);
+      unused_.erase(it);
     }
   }
 
  private:
+  struct Unused {
+    PrefetchEngine* owner = nullptr;
+    bool counted = false;  // Already counted evicted-unused by ResolveEvictedUnused.
+  };
+
   void ShrinkColdDepth() { cold_depth_ = std::max(cold_depth_ / 2, kMinColdDepth); }
 
-  SimTime next_ready_ = ~SimTime{0};
+  // Drops heap entries whose fetch already left through TakeLate, so the top is live.
+  void PopDeadHeapTop() {
+    while (!ready_heap_.empty()) {
+      const auto [ready_at, page] = ready_heap_.front();
+      auto it = in_flight_.find(page);
+      if (it != in_flight_.end() && it->second.ready_at == ready_at) {
+        return;
+      }
+      std::pop_heap(ready_heap_.begin(), ready_heap_.end(), std::greater<>());
+      ready_heap_.pop_back();
+    }
+  }
+
+  std::unordered_map<uint64_t, InFlight> in_flight_;         // page -> pending fetch.
+  std::vector<std::pair<SimTime, uint64_t>> ready_heap_;      // (ready_at, page) min-heap.
+  std::vector<std::pair<uint64_t, InFlight>> ready_;          // TakeReady's reused buffer.
+  std::unordered_map<uint64_t, Unused> unused_;               // installed, never touched.
   uint32_t cold_depth_ = 64;
 };
 

@@ -4,8 +4,15 @@
 // invalidate/downgrade sequences. Eviction order, the dirty write-back set, range
 // invalidation results and occupancy must be identical at every step — the refactor must
 // be observationally indistinguishable from the seed semantics.
+//
+// Speculative installs (DramCache::InsertPrefetched) are modelled the naive way: walk
+// `depth` entries up from the cold end of the std::list and link the page there. The real
+// cache reaches the same position through its cold-segment cursor in amortized O(1), so
+// the lockstep below is the bit-identity guard for that cursor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <list>
 #include <map>
 #include <vector>
@@ -24,6 +31,7 @@ class RefCache {
   struct Frame {
     bool dirty = false;
     bool writable = false;
+    bool prefetched = false;
     ProtDomainId pdid = 0;
     std::list<uint64_t>::iterator lru_it;
   };
@@ -44,22 +52,38 @@ class RefCache {
   std::optional<Evicted> Insert(uint64_t page, bool writable, ProtDomainId pdid) {
     if (auto it = frames_.find(page); it != frames_.end()) {
       it->second.writable = it->second.writable || writable;
+      it->second.prefetched = false;
       it->second.pdid = pdid;
       Touch(page, it->second);
       return std::nullopt;
     }
-    std::optional<Evicted> ev;
-    if (frames_.size() >= capacity_ && capacity_ > 0) {
-      const uint64_t victim = lru_.back();
-      lru_.pop_back();
-      ev = Evicted{victim, frames_[victim].dirty};
-      frames_.erase(victim);
-    }
+    std::optional<Evicted> ev = EvictIfFull();
     Frame f;
     f.writable = writable;
     f.pdid = pdid;
     lru_.push_front(page);
     f.lru_it = lru_.begin();
+    frames_.emplace(page, f);
+    return ev;
+  }
+
+  // Speculative install: the new page enters with exactly min(depth, size) pages colder
+  // than it, found by walking up from the LRU end.
+  std::optional<Evicted> InsertPrefetched(uint64_t page, bool writable, ProtDomainId pdid,
+                                          uint32_t depth) {
+    if (frames_.count(page) != 0) {
+      return Insert(page, writable, pdid);
+    }
+    std::optional<Evicted> ev = EvictIfFull();
+    auto pos = lru_.end();
+    for (uint32_t d = 0; d < depth && pos != lru_.begin(); ++d) {
+      --pos;
+    }
+    Frame f;
+    f.writable = writable;
+    f.prefetched = true;
+    f.pdid = pdid;
+    f.lru_it = lru_.insert(pos, page);
     frames_.emplace(page, f);
     return ev;
   }
@@ -118,6 +142,17 @@ class RefCache {
   [[nodiscard]] const std::list<uint64_t>& lru() const { return lru_; }
 
  private:
+  std::optional<Evicted> EvictIfFull() {
+    if (frames_.size() < capacity_ || capacity_ == 0) {
+      return std::nullopt;
+    }
+    const uint64_t victim = lru_.back();
+    lru_.pop_back();
+    Evicted ev{victim, frames_[victim].dirty};
+    frames_.erase(victim);
+    return ev;
+  }
+
   void Touch(uint64_t page, Frame& f) {
     lru_.erase(f.lru_it);
     lru_.push_front(page);
@@ -218,6 +253,100 @@ TEST_P(DramCacheParityTest, FlatCacheMatchesSeedSemantics) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DramCacheParityTest, ::testing::Values(3u, 17u, 29u));
+
+// Drains both caches through capacity eviction with fresh MRU sentinels: every resident
+// page leaves oldest-first, so equal eviction sequences mean equal full recency orders.
+void ExpectSameRecencyOrder(DramCache& cache, RefCache& ref, uint64_t first_sentinel) {
+  ASSERT_EQ(cache.size(), ref.size());
+  const uint64_t resident = cache.size();
+  for (uint64_t i = 0; i < resident; ++i) {
+    auto got = cache.Insert(first_sentinel + i, false, nullptr, 0);
+    auto want = ref.Insert(first_sentinel + i, false, 0);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "drain step " << i;
+    if (got.has_value()) {
+      ASSERT_EQ(got->page, want->page) << "recency order diverged at drain step " << i;
+      ASSERT_EQ(got->dirty, want->dirty);
+    }
+  }
+}
+
+class DramCachePrefetchParityTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Speculative installs at random and adaptive depths, interleaved with every other
+// recency-changing operation: the victim of each step and the final recency order must
+// match the walk-at-depth reference exactly.
+TEST_P(DramCachePrefetchParityTest, ColdInsertsMatchWalkAtDepth) {
+  Rng rng(GetParam());
+  const uint64_t capacity = 16 + rng.NextBelow(49);  // 16..64 frames.
+  const uint64_t page_space = 1400;                  // Spans three 512-page regions.
+  DramCache cache(capacity, /*store_data=*/false);
+  RefCache ref(capacity);
+  // Mirrors BladePrefetchState's adaptive depth: +8 on a useful touch, halved on an
+  // evicted-unused event; its range straddles the cache size.
+  uint32_t adaptive = 8;
+
+  for (int step = 0; step < 20000; ++step) {
+    const double roll = rng.NextDouble();
+    const uint64_t page = rng.NextBelow(page_space);
+    if (roll < 0.40) {
+      uint32_t depth = adaptive;
+      const double pick = rng.NextDouble();
+      if (pick < 0.15) {
+        depth = 0;
+      } else if (pick < 0.30) {
+        depth = static_cast<uint32_t>(capacity + rng.NextBelow(2 * capacity));
+      }
+      const bool writable = rng.NextBelow(2) == 0;
+      auto got = cache.InsertPrefetched(page, writable, nullptr, 0, depth);
+      auto want = ref.InsertPrefetched(page, writable, 0, depth);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+      if (got.has_value()) {
+        ASSERT_EQ(got->page, want->page) << "victim diverged at step " << step;
+        ASSERT_EQ(got->dirty, want->dirty) << "step " << step;
+      }
+    } else if (roll < 0.55) {
+      const bool writable = rng.NextBelow(2) == 0;
+      auto got = cache.Insert(page, writable, nullptr, 0);
+      auto want = ref.Insert(page, writable, 0);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+      if (got.has_value()) {
+        ASSERT_EQ(got->page, want->page) << "victim diverged at step " << step;
+        ASSERT_EQ(got->dirty, want->dirty) << "step " << step;
+      }
+    } else if (roll < 0.80) {
+      DramCache::Frame* got = cache.Lookup(page);
+      RefCache::Frame* want = ref.Lookup(page);
+      ASSERT_EQ(got != nullptr, want != nullptr) << "step " << step;
+      if (got != nullptr) {
+        ASSERT_EQ(got->prefetched, want->prefetched) << "step " << step;
+        ASSERT_EQ(got->writable, want->writable) << "step " << step;
+        if (rng.NextBelow(2) == 0) {
+          got->dirty = want->dirty = true;  // A store through the memoized frame.
+        }
+      }
+    } else if (roll < 0.85) {
+      const uint64_t span = 1 + rng.NextBelow(64);
+      auto got = cache.InvalidateRange(page, page + span);
+      auto want = ref.InvalidateRange(page, page + span);
+      ASSERT_EQ(got.dropped_clean, want.dropped_clean) << "step " << step;
+      ASSERT_EQ(got.flushed.size(), want.flushed.size()) << "step " << step;
+    } else if (roll < 0.90) {
+      const uint64_t span = 1 + rng.NextBelow(600);
+      auto got = cache.DowngradeRange(page, page + span);
+      auto want = ref.DowngradeRange(page, page + span);
+      ASSERT_EQ(got.flushed.size(), want.flushed.size()) << "step " << step;
+    } else if (roll < 0.95) {
+      adaptive = std::min<uint32_t>(adaptive + 8, static_cast<uint32_t>(2 * capacity));
+    } else {
+      adaptive /= 2;
+    }
+    ASSERT_EQ(cache.size(), ref.size()) << "step " << step;
+  }
+  ExpectSameRecencyOrder(cache, ref, page_space);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DramCachePrefetchParityTest,
+                         ::testing::Values(1u, 5u, 9u, 31u, 77u, 101u, 2024u, 65537u));
 
 // Direct LRU-order check without the reference: recency must follow Lookup/Insert/Touch.
 TEST(DramCacheLru, EvictionFollowsRecency) {

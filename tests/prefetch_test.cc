@@ -1,15 +1,21 @@
 // Tests for the prefetch subsystem (src/prefetch/prefetch.h):
 //   1. StrideDetector vs a naive reference model — warm-up, stride changes, interleaved
 //      streams, random noise.
-//   2. PrefetchEngine policy predictions, adaptive window and in-flight bounds.
+//   2. PrefetchEngine policy predictions, adaptive window and in-flight bounds; the
+//      per-blade in-flight queue against a brute-force reference.
 //   3. End-to-end coverage on all three systems: streaming/strided workloads must cover
 //      a large fraction of would-be remote faults; pointer chase must not speculate.
 //   4. Invalidation safety: a wave that lands between issue and arrival discards the
 //      stale in-flight copy.
 //   5. kNone conformance: with the default policy, channel replay at 1 and 4 shards is
 //      bit-identical to the pre-prefetch per-op reference path for every system.
+//   6. Golden stride-prefetch replays: makespan, latency histogram and semantic trace
+//      digest pinned for all three systems at 1 and 4 shards, recorded on the
+//      walk-at-depth cold insert and full-scan in-flight table that the cold-segment
+//      cursor and ready queue replaced. Plus: prefetch_stats() is a pure read.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -337,6 +343,98 @@ TEST(PrefetchEndToEnd, PointerChaseProducesNoStrideSpeculation) {
   EXPECT_EQ(got.prefetch.issued, 0u);
 }
 
+// --- Part 3a: the in-flight queue vs a brute-force reference -----------------
+
+// The table the ready queue replaced: an ordered map scanned in full, arrivals sorted by
+// (ready_at, page), the earliest pending arrival recomputed by a min-reduce.
+class NaiveInFlight {
+ public:
+  void Issue(uint64_t page, SimTime ready_at) { table_[page] = ready_at; }
+  bool TakeLate(uint64_t page) { return table_.erase(page) != 0; }
+  std::vector<std::pair<SimTime, uint64_t>> TakeReady(SimTime now) {
+    std::vector<std::pair<SimTime, uint64_t>> ready;
+    for (auto it = table_.begin(); it != table_.end();) {
+      if (it->second <= now) {
+        ready.emplace_back(it->second, it->first);
+        it = table_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    std::sort(ready.begin(), ready.end());
+    return ready;
+  }
+  [[nodiscard]] SimTime next_ready() const {
+    SimTime earliest = ~SimTime{0};
+    for (const auto& [page, ready_at] : table_) {
+      earliest = std::min(earliest, ready_at);
+    }
+    return earliest;
+  }
+  [[nodiscard]] bool Contains(uint64_t page) const { return table_.count(page) != 0; }
+
+ private:
+  std::map<uint64_t, SimTime> table_;
+};
+
+TEST(PrefetchInFlightQueue, MatchesBruteForceReference) {
+  for (const uint64_t seed : {1u, 2u, 3u, 42u, 1234u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    BladePrefetchState bp;
+    NaiveInFlight ref;
+    PrefetchEngine engine{PrefetchConfig{}};
+    std::vector<std::pair<uint64_t, SimTime>> joined;  // Late joins, for re-issue.
+    SimTime clock = 0;
+    for (int step = 0; step < 20000; ++step) {
+      const double roll = rng.NextDouble();
+      const uint64_t page = rng.NextBelow(256);
+      if (roll < 0.45) {
+        if (ref.Contains(page)) {
+          ASSERT_TRUE(bp.Contains(page));
+          continue;
+        }
+        ASSERT_FALSE(bp.Contains(page));
+        // A coarse ready_at grid makes equal-arrival ties common.
+        const SimTime ready_at = clock + 10 * rng.NextBelow(20);
+        bp.Issue(page, BladePrefetchState::InFlight{ready_at, page * 3, &engine, 0});
+        ref.Issue(page, ready_at);
+      } else if (roll < 0.55 && !joined.empty()) {
+        // Re-issue a page after its late join, at its old arrival time: the queue still
+        // holds the joined fetch's dead entry with the very same (ready_at, page) key.
+        const auto [p, ready_at] = joined[rng.NextBelow(joined.size())];
+        if (!ref.Contains(p)) {
+          bp.Issue(p, BladePrefetchState::InFlight{ready_at, p * 3, &engine, 0});
+          ref.Issue(p, ready_at);
+        }
+      } else if (roll < 0.75) {
+        const auto got = bp.TakeLate(page);
+        const bool want = ref.Contains(page);
+        ASSERT_EQ(got.has_value(), want) << "step " << step;
+        if (got.has_value()) {
+          joined.emplace_back(page, got->ready_at);
+          ASSERT_EQ(got->inval_stamp, page * 3);
+          ref.TakeLate(page);
+        }
+      } else {
+        // Mostly forward, occasionally behind the previous call (threads' clocks differ).
+        clock += rng.NextBelow(40);
+        const SimTime now = rng.NextBelow(8) == 0 ? clock - std::min<SimTime>(clock, 50)
+                                                  : clock;
+        const auto& got = bp.TakeReady(now);
+        const auto want = ref.TakeReady(now);
+        ASSERT_EQ(got.size(), want.size()) << "step " << step;
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].second.ready_at, want[i].first) << "step " << step;
+          ASSERT_EQ(got[i].first, want[i].second) << "install order diverged at " << step;
+          ASSERT_EQ(got[i].second.inval_stamp, got[i].first * 3);
+        }
+      }
+      ASSERT_EQ(bp.next_ready(), ref.next_ready()) << "step " << step;
+    }
+  }
+}
+
 // --- Part 4: invalidation waves discard stale in-flight prefetches ------------
 
 // --- Part 3b: prefetch-aware eviction priority (DramCache cold inserts) -------
@@ -380,11 +478,11 @@ TEST(PrefetchEviction, ColdDepthAdaptsToFeedback) {
   BladePrefetchState bp;
   PrefetchEngine engine{PrefetchConfig{}};
   const uint32_t start = bp.cold_insert_depth();
-  bp.unused[42] = &engine;
+  bp.NoteInstalled(42, &engine);
   bp.OnPrefetchedTouch(42);
   EXPECT_GT(bp.cold_insert_depth(), start) << "useful touches must earn residency";
   for (uint64_t p = 0; p < 16; ++p) {  // A long evicted-unused run floors the depth.
-    bp.unused[100 + p] = &engine;
+    bp.NoteInstalled(100 + p, &engine);
     bp.OnPageEvicted(100 + p);
   }
   EXPECT_EQ(bp.cold_insert_depth(), BladePrefetchState::kMinColdDepth);
@@ -414,7 +512,7 @@ TEST(PrefetchRearm, BladeQueueCollectsRearmRequestsFromTouches) {
   PrefetchEngine e{PrefetchConfig{}};
   BladePrefetchState bp;
   e.NoteIssuedWindow(10, 17);
-  bp.unused[14] = &e;
+  bp.NoteInstalled(14, &e);
   bp.OnPrefetchedTouch(14, /*pdid=*/7);
   ASSERT_EQ(bp.rearm_requests.size(), 1u);
   EXPECT_EQ(bp.rearm_requests[0].engine, &e);
@@ -583,6 +681,185 @@ TEST(PrefetchNoneConformance, AllSystemsBitIdenticalAtOneAndFourShards) {
       const ReplayReport got = Replay(sys, fs_traces, PrefetchPolicy::kNone, shards);
       ExpectReportsIdentical(want, got);
     }
+  }
+}
+
+// --- Part 6: golden stride-prefetch replays and a pure prefetch_stats() ---------
+
+struct GoldenResult {
+  SimTime makespan = 0;
+  uint64_t ops = 0;
+  uint64_t latency_sum = 0;
+  uint64_t latency_min = 0;
+  uint64_t latency_max = 0;
+  uint64_t p50 = 0;
+  uint64_t p90 = 0;
+  uint64_t p99 = 0;
+  uint64_t p999 = 0;
+  uint64_t prefetch_issued = 0;
+  uint64_t prefetch_useful = 0;
+  uint64_t prefetch_evicted_unused = 0;
+  uint64_t semantic_digest = 0;
+};
+
+GoldenResult GoldenRun(MemorySystem& sys, const WorkloadTraces& traces, int shards) {
+  ReplayOptions opts;
+  opts.shards = shards;
+  opts.prefetch = PrefetchPolicy::kMajorityStride;
+  opts.trace = true;
+  ReplayEngine engine(&sys, &traces, opts);
+  EXPECT_TRUE(engine.Setup().ok());
+  const ReplayReport report = engine.Run();
+  const HistogramSummary h = report.latency_histogram.Summary();
+  GoldenResult g;
+  g.makespan = report.makespan;
+  g.ops = h.count;
+  g.latency_sum = report.latency_histogram.sum();
+  g.latency_min = h.min;
+  g.latency_max = h.max;
+  g.p50 = h.p50;
+  g.p90 = h.p90;
+  g.p99 = h.p99;
+  g.p999 = h.p999;
+  g.prefetch_issued = report.prefetch.issued;
+  g.prefetch_useful = report.prefetch.useful;
+  g.prefetch_evicted_unused = report.prefetch.evicted_unused;
+  g.semantic_digest = engine.trace_scope()->SemanticDigest();
+  return g;
+}
+
+void ExpectGolden(const GoldenResult& want, const GoldenResult& got) {
+  EXPECT_EQ(want.makespan, got.makespan);
+  EXPECT_EQ(want.ops, got.ops);
+  EXPECT_EQ(want.latency_sum, got.latency_sum);
+  EXPECT_EQ(want.latency_min, got.latency_min);
+  EXPECT_EQ(want.latency_max, got.latency_max);
+  EXPECT_EQ(want.p50, got.p50);
+  EXPECT_EQ(want.p90, got.p90);
+  EXPECT_EQ(want.p99, got.p99);
+  EXPECT_EQ(want.p999, got.p999);
+  EXPECT_EQ(want.prefetch_issued, got.prefetch_issued);
+  EXPECT_EQ(want.prefetch_useful, got.prefetch_useful);
+  EXPECT_EQ(want.prefetch_evicted_unused, got.prefetch_evicted_unused);
+  EXPECT_EQ(want.semantic_digest, got.semantic_digest);
+}
+
+// Streaming scans far past a 2048-frame cache: every speculative install lands on a full
+// cache at the adaptive cold depth, and the in-flight table holds a window per thread.
+TEST(PrefetchGolden, MindStrideStreamMatchesPinnedResults) {
+  const WorkloadTraces traces = GenerateTraces(StreamSpec(4, Pattern::kSequential));
+  const GoldenResult want{/*makespan=*/26309908, /*ops=*/32000, /*latency_sum=*/82787632,
+                          /*latency_min=*/80, /*latency_max=*/44525, /*p50=*/81, /*p90=*/8320,
+                          /*p99=*/17664, /*p999=*/28416, /*prefetch_issued=*/42993,
+                          /*prefetch_useful=*/31475, /*prefetch_evicted_unused=*/10801,
+                          /*semantic_digest=*/3541032954130857862ull};
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    MindSystem sys(SmallRack(4));
+    ExpectGolden(want, GoldenRun(sys, traces, shards));
+  }
+}
+
+TEST(PrefetchGolden, GamStrideStreamMatchesPinnedResults) {
+  const WorkloadTraces traces = GenerateTraces(StreamSpec(4, Pattern::kSequential));
+  GamConfig cfg;
+  cfg.num_compute_blades = 4;
+  cfg.num_memory_blades = 2;
+  cfg.compute_cache_bytes = 8ull << 20;
+  const GoldenResult want{/*makespan=*/159395832, /*ops=*/32000, /*latency_sum=*/611277611,
+                          /*latency_min=*/950, /*latency_max=*/390387, /*p50=*/952, /*p90=*/73728,
+                          /*p99=*/163840, /*p999=*/311296, /*prefetch_issued=*/34032,
+                          /*prefetch_useful=*/31074, /*prefetch_evicted_unused=*/1808,
+                          /*semantic_digest=*/8720602249616460104ull};
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    GamSystem sys(cfg);
+    ExpectGolden(want, GoldenRun(sys, traces, shards));
+  }
+}
+
+// The swap_stream shape at reduced scale: one blade, four sequential scanners.
+TEST(PrefetchGolden, FastSwapStrideStreamMatchesPinnedResults) {
+  WorkloadSpec spec = StreamSpec(1, Pattern::kSequential);
+  spec.threads_per_blade = 4;
+  const WorkloadTraces traces = GenerateTraces(spec);
+  FastSwapConfig cfg;
+  cfg.num_memory_blades = 2;
+  cfg.compute_cache_bytes = 8ull << 20;
+  const GoldenResult want{/*makespan=*/11899750, /*ops=*/32000, /*latency_sum=*/28070408,
+                          /*latency_min=*/80, /*latency_max=*/76350, /*p50=*/81, /*p90=*/81,
+                          /*p99=*/41984, /*p999=*/57856, /*prefetch_issued=*/33576,
+                          /*prefetch_useful=*/31164, /*prefetch_evicted_unused=*/1469,
+                          /*semantic_digest=*/14643600936467236386ull};
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    FastSwapSystem sys(cfg);
+    ExpectGolden(want, GoldenRun(sys, traces, shards));
+  }
+}
+
+// Reading the prefetch counters must not steer the prefetcher. MIND invalidation waves
+// drop prefetched pages without an eviction record, so such pages are classified
+// evicted-unused lazily when prefetch_stats() runs; that classification may only count,
+// and must count each page exactly once whenever it runs. A replay that reads the
+// counters at every sample point must end with the same report, prefetch counters and
+// semantic trace as one that never looks. Unsplit 2 MB directory regions make every
+// shared write invalidate whole regions of the other blade's speculative installs.
+void ExpectMidRunReadsChangeNothing(uint64_t cache_bytes, double shared_write_fraction) {
+  WorkloadSpec spec = StreamSpec(2, Pattern::kSequential);
+  spec.private_pages_per_thread = 3000;
+  spec.accesses_per_thread = 6000;
+  spec.shared_pages = 2048;
+  spec.shared_pattern = Pattern::kSequential;
+  spec.shared_access_fraction = 0.5;
+  spec.shared_write_fraction = shared_write_fraction;
+  const WorkloadTraces traces = GenerateTraces(spec);
+  RackConfig cfg = SmallRack(2);
+  cfg.compute_cache_bytes = cache_bytes;
+  cfg.splitting.enabled = false;
+  cfg.splitting.initial_region_size = 2ull << 20;
+  uint64_t reads = 0;
+  const auto run = [&](bool read_stats) {
+    MindSystem sys(cfg);
+    ReplayOptions opts;
+    opts.prefetch = PrefetchPolicy::kMajorityStride;
+    opts.trace = true;
+    ReplayEngine engine(&sys, &traces, opts);
+    EXPECT_TRUE(engine.Setup().ok());
+    const ReplayReport report = engine.Run(
+        [&](SimTime) {
+          if (read_stats) {
+            (void)sys.prefetch_stats();
+            ++reads;
+          }
+        },
+        /*sample_interval=*/20 * kMicrosecond);
+    return std::make_pair(report, engine.trace_scope()->SemanticDigest());
+  };
+  const auto [quiet, quiet_digest] = run(false);
+  const auto [observed, observed_digest] = run(true);
+  ASSERT_GT(reads, 100u);
+  ASSERT_GT(quiet.counters.invalidations, 0u) << "the schedule must produce waves";
+  ASSERT_GT(quiet.prefetch.evicted_unused, 0u);
+  ExpectReportsIdentical(quiet, observed);
+  EXPECT_EQ(quiet.prefetch.issued, observed.prefetch.issued);
+  EXPECT_EQ(quiet.prefetch.useful, observed.prefetch.useful);
+  EXPECT_EQ(quiet.prefetch.late, observed.prefetch.late);
+  EXPECT_EQ(quiet.prefetch.evicted_unused, observed.prefetch.evicted_unused);
+  EXPECT_EQ(quiet.prefetch.discarded_stale, observed.prefetch.discarded_stale);
+  EXPECT_EQ(quiet.prefetch.rearmed, observed.prefetch.rearmed);
+  EXPECT_EQ(quiet.prefetch.throttled, observed.prefetch.throttled);
+  EXPECT_EQ(quiet_digest, observed_digest);
+}
+
+TEST(PrefetchStatsRead, MidRunReadsLeaveWaveReplayUnchanged) {
+  {
+    SCOPED_TRACE("1 MB cache: silently dropped pages return and are evicted again");
+    ExpectMidRunReadsChangeNothing(1ull << 20, /*shared_write_fraction=*/0.1);
+  }
+  {
+    SCOPED_TRACE("8 MB cache: silently dropped pages are prefetched again");
+    ExpectMidRunReadsChangeNothing(8ull << 20, /*shared_write_fraction=*/0.3);
   }
 }
 
