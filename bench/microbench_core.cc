@@ -26,6 +26,7 @@
 #include "src/dataplane/protection.h"
 #include "src/dataplane/tcam.h"
 #include "src/dataplane/translation.h"
+#include "src/net/fabric.h"
 
 namespace mind {
 namespace {
@@ -250,6 +251,76 @@ void BM_RackRemoteMiss(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RackRemoteMiss);
+
+// One routed blade->blade page transfer (sender egress port, pipeline stage, receiver
+// ingress port) per iteration, with a warm demand window: the clock advances 1 us per
+// message, so every port's 200 us window holds its steady-state population and each
+// arrival expires about one old entry. Compares the two fabric queue models.
+void BM_FabricRoute(benchmark::State& state, QueueModelKind kind) {
+  constexpr uint32_t kBlades = 8;
+  FabricConfig config;
+  config.queue_model = kind;
+  Fabric fabric(kBlades, kBlades, LatencyModel{}, config);
+  SimTime now = 0;
+  uint32_t i = 0;
+  const auto route = [&] {
+    const auto from = static_cast<ComputeBladeId>(i % kBlades);
+    const auto to = static_cast<ComputeBladeId>((3 * i + 1) % kBlades);  // Never `from`.
+    ++i;
+    now += kMicrosecond;
+    return fabric.Route(Endpoint::Compute(from), Endpoint::Compute(to),
+                        MessageKind::kRdmaReadResponse, now);
+  };
+  for (int warm = 0; warm < 4096; ++warm) {
+    (void)route();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(route());
+  }
+}
+BENCHMARK_CAPTURE(BM_FabricRoute, fifo, QueueModelKind::kFifo);
+BENCHMARK_CAPTURE(BM_FabricRoute, mg1, QueueModelKind::kWindowedMG1);
+
+// A MIND write miss to a 16 KB region that N other blades hold shared: directory/STT
+// transition, one multicast invalidation wave to the N sharers, their ACKs and the page
+// fetch. Between timed writes the sharers re-read their regions untimed, in batches of
+// kBatch regions so the timer pauses once per batch rather than once per write.
+void BM_InvalidationWave(benchmark::State& state) {
+  const int sharers = static_cast<int>(state.range(0));
+  constexpr int kBlades = 8;
+  constexpr uint64_t kRegions = 1024;
+  constexpr uint64_t kBatch = 256;
+  RackConfig cfg = bench::PaperRackConfig(kBlades);
+  Rack rack(cfg);
+  const ProcessId pid = *rack.Exec("bm");
+  const ProtDomainId pdid = *rack.controller().PdidOf(pid);
+  std::vector<ThreadId> tids;
+  for (int b = 0; b < kBlades; ++b) {
+    tids.push_back(rack.SpawnThread(pid, static_cast<ComputeBladeId>(b))->tid);
+  }
+  const VirtAddr va =
+      *rack.Mmap(pid, kRegions * kDefaultInitialRegionSize, PermClass::kReadWrite);
+  const auto region = [&](uint64_t n) { return va + (n % kRegions) * kDefaultInitialRegionSize; };
+  SimTime now = 0;
+  uint64_t next = 0;
+  for (auto _ : state) {
+    if (next % kBatch == 0) {
+      state.PauseTiming();
+      for (uint64_t n = next; n < next + kBatch; ++n) {
+        for (int b = 1; b <= sharers; ++b) {
+          now = rack.Access({tids[b], static_cast<ComputeBladeId>(b), pdid, region(n),
+                             AccessType::kRead, now})
+                    .completion;
+        }
+      }
+      state.ResumeTiming();
+    }
+    const auto r = rack.Access({tids[0], 0, pdid, region(next++), AccessType::kWrite, now});
+    now = r.completion;
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_InvalidationWave)->Arg(1)->Arg(4)->Arg(7);
 
 // ---------------------------------------------------------------------------
 // BENCH_microbench.json emitter: appends one labeled entry per run so the perf

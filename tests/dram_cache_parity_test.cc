@@ -348,6 +348,118 @@ TEST_P(DramCachePrefetchParityTest, ColdInsertsMatchWalkAtDepth) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DramCachePrefetchParityTest,
                          ::testing::Values(1u, 5u, 9u, 31u, 77u, 101u, 2024u, 65537u));
 
+// Applies the same range invalidation to both caches and checks the flush set (ascending
+// page order), the clean-drop count and occupancy.
+void ExpectSameInvalidation(DramCache& cache, RefCache& ref, uint64_t begin, uint64_t end) {
+  auto got = cache.InvalidateRange(begin, end);
+  auto want = ref.InvalidateRange(begin, end);
+  ASSERT_EQ(got.dropped_clean, want.dropped_clean);
+  ASSERT_EQ(got.flushed.size(), want.flushed.size());
+  for (size_t i = 0; i < got.flushed.size(); ++i) {
+    ASSERT_EQ(got.flushed[i].page, want.flushed[i]) << "flush order at " << i;
+    ASSERT_TRUE(got.flushed[i].dirty);
+  }
+  ASSERT_EQ(cache.size(), ref.size());
+}
+
+// A ping-ponged region: every page of it leaves (by invalidation and by LRU eviction),
+// then it fills again. Membership, flush order and recency must stay exact across each
+// empty/refill cycle, and the region's version must keep rising.
+TEST(DramCacheRegions, RegionThatEmptiesAndRefillsStaysExact) {
+  constexpr uint64_t kCapacity = 64;
+  constexpr uint64_t kRegion = 5;
+  const uint64_t base = kRegion * DramCache::kRegionPages;
+  DramCache cache(kCapacity, /*store_data=*/false);
+  RefCache ref(kCapacity);
+  Rng rng(41);
+  uint64_t last_version = 0;
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    SCOPED_TRACE(cycle);
+    const uint64_t pages = 1 + rng.NextBelow(kCapacity);
+    for (uint64_t i = 0; i < pages; ++i) {
+      const uint64_t page = base + rng.NextBelow(DramCache::kRegionPages);
+      (void)cache.Insert(page, /*writable=*/true, nullptr, 0);
+      (void)ref.Insert(page, true, 0);
+      if (rng.NextBelow(2) == 0) {
+        cache.MarkDirty(page);
+        ref.MarkDirty(page);
+      }
+    }
+    ASSERT_EQ(cache.CountRange(base, base + DramCache::kRegionPages),
+              ref.CountRange(base, base + DramCache::kRegionPages));
+    ASSERT_GT(cache.region_version(kRegion), last_version);
+    last_version = cache.region_version(kRegion);
+    if (cycle % 3 == 2) {
+      // Empty the region through capacity eviction: fresh pages of another region push
+      // every frame of this one out.
+      for (uint64_t i = 0; i < kCapacity; ++i) {
+        const uint64_t sentinel = 100 * DramCache::kRegionPages + i;
+        auto got = cache.Insert(sentinel, false, nullptr, 0);
+        auto want = ref.Insert(sentinel, false, 0);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "sentinel " << i;
+        if (got.has_value()) {
+          ASSERT_EQ(got->page, want->page) << "eviction order diverged at sentinel " << i;
+          ASSERT_EQ(got->dirty, want->dirty);
+        }
+      }
+      ExpectSameInvalidation(cache, ref, 100 * DramCache::kRegionPages,
+                             101 * DramCache::kRegionPages);
+    } else {
+      // Empty it through invalidation, sometimes in two halves.
+      const uint64_t split = base + rng.NextBelow(DramCache::kRegionPages);
+      ExpectSameInvalidation(cache, ref, split, base + DramCache::kRegionPages);
+      ExpectSameInvalidation(cache, ref, base, split);
+    }
+    ASSERT_EQ(cache.CountRange(base, base + DramCache::kRegionPages), 0u);
+    ASSERT_EQ(cache.size(), 0u);
+  }
+}
+
+// A shoot-down whose span covers far more regions than hold pages takes the sparse
+// live-region walk. Regions that emptied earlier must not be visited out of order or
+// resurrected, and the flush order must stay ascending across the whole span.
+TEST(DramCacheRegions, SparseShootDownSpanningMoreRegionsThanAreLive) {
+  constexpr uint64_t kCapacity = 256;
+  DramCache cache(kCapacity, /*store_data=*/false);
+  RefCache ref(kCapacity);
+  Rng rng(7);
+  // Scattered regions, inserted in descending region order so neither the insertion nor
+  // any hash order matches the ascending visit order.
+  const uint64_t regions[] = {90'000, 70'001, 4'096, 513, 77, 3, 1};
+  for (const uint64_t r : regions) {
+    for (int i = 0; i < 12; ++i) {
+      const uint64_t page = r * DramCache::kRegionPages + rng.NextBelow(DramCache::kRegionPages);
+      (void)cache.Insert(page, /*writable=*/true, nullptr, 0);
+      (void)ref.Insert(page, true, 0);
+      if (rng.NextBelow(3) != 0) {
+        cache.MarkDirty(page);
+        ref.MarkDirty(page);
+      }
+    }
+  }
+  // Empty three of them, so fewer regions are live than were ever populated.
+  for (const uint64_t r : {70'001ull, 513ull, 3ull}) {
+    ExpectSameInvalidation(cache, ref, r * DramCache::kRegionPages,
+                           (r + 1) * DramCache::kRegionPages);
+  }
+  // Sparse spans over part of the address space, then all of it.
+  ExpectSameInvalidation(cache, ref, 2 * DramCache::kRegionPages,
+                         80'000 * DramCache::kRegionPages);
+  ASSERT_EQ(cache.CountRange(0, 100'000 * DramCache::kRegionPages),
+            ref.CountRange(0, 100'000 * DramCache::kRegionPages));
+  ExpectSameInvalidation(cache, ref, 0, 100'000 * DramCache::kRegionPages);
+  ASSERT_EQ(cache.size(), 0u);
+  // The emptied regions fill again and a second sparse sweep sees exactly them.
+  for (const uint64_t r : {513ull, 90'000ull}) {
+    const uint64_t page = r * DramCache::kRegionPages + 9;
+    (void)cache.Insert(page, true, nullptr, 0);
+    (void)ref.Insert(page, true, 0);
+    cache.MarkDirty(page);
+    ref.MarkDirty(page);
+  }
+  ExpectSameInvalidation(cache, ref, 0, 100'000 * DramCache::kRegionPages);
+}
+
 // Direct LRU-order check without the reference: recency must follow Lookup/Insert/Touch.
 TEST(DramCacheLru, EvictionFollowsRecency) {
   DramCache c(3, false);

@@ -4,12 +4,15 @@
 // under a live fault schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/baselines/mind_system.h"
+#include "src/common/rng.h"
 #include "src/net/queue_model.h"
 #include "src/sim/resource.h"
 #include "src/workload/generators.h"
@@ -73,6 +76,157 @@ TEST(QueueModel, DemandWindowExpiresOldRequests) {
   (void)model->Acquire(/*arrival=*/1'000'000, /*service=*/10);
   EXPECT_EQ(model->QueueDepth(), 1u);  // Only the late request remains in the window.
   EXPECT_EQ(model->demand_sum(), 10u);
+}
+
+// --- Ring-buffer window vs the std::deque reference ------------------------------------
+
+// The demand window and the three disciplines exactly as they were written over a
+// std::deque (RecordDemand + the FIFO / pass-through / windowed-M/G/1 DoAcquire), kept as
+// the reference the ring buffer must reproduce call for call.
+class DequeReference {
+ public:
+  enum class Discipline { kFifo, kPassThrough, kWindowedMG1 };
+  DequeReference(Discipline discipline, SimTime window_ns)
+      : discipline_(discipline), window_(window_ns == 0 ? 1 : window_ns) {}
+
+  QueueModel::Grant Acquire(SimTime arrival, SimTime service) {
+    QueueModel::Grant g = DoAcquire(arrival, service);
+    RecordDemand(arrival, service);
+    total_busy_ += service;
+    total_wait_ += g.wait;
+    ++jobs_;
+    return g;
+  }
+  [[nodiscard]] double Utilization() const {
+    const double u = static_cast<double>(demand_sum_) / static_cast<double>(window_);
+    return u > 1.0 ? 1.0 : u;
+  }
+  [[nodiscard]] uint64_t QueueDepth() const { return demand_.size(); }
+  [[nodiscard]] SimTime demand_sum() const { return demand_sum_; }
+  [[nodiscard]] SimTime total_busy() const { return total_busy_; }
+  [[nodiscard]] SimTime total_wait() const { return total_wait_; }
+  [[nodiscard]] uint64_t jobs() const { return jobs_; }
+
+ private:
+  QueueModel::Grant DoAcquire(SimTime arrival, SimTime service) {
+    switch (discipline_) {
+      case Discipline::kFifo: {
+        const SimTime start = std::max(arrival, busy_until_);
+        const SimTime finish = start + service;
+        busy_until_ = finish;
+        return QueueModel::Grant{start, finish, start - arrival};
+      }
+      case Discipline::kPassThrough:
+        return QueueModel::Grant{arrival, arrival + service, 0};
+      case Discipline::kWindowedMG1: {
+        constexpr double kMaxRho = 0.98;
+        double rho = Utilization();
+        if (rho > kMaxRho) {
+          rho = kMaxRho;
+        }
+        const uint64_t n = QueueDepth();
+        const double mean_service =
+            n == 0 ? static_cast<double>(service)
+                   : static_cast<double>(demand_sum()) / static_cast<double>(n);
+        const auto wait = static_cast<SimTime>(rho * mean_service / (2.0 * (1.0 - rho)));
+        const SimTime start = arrival + wait;
+        return QueueModel::Grant{start, start + service, wait};
+      }
+    }
+    return {};
+  }
+  void RecordDemand(SimTime arrival, SimTime service) {
+    horizon_ = arrival > horizon_ ? arrival : horizon_;
+    demand_.push_back({arrival, service});
+    demand_sum_ += service;
+    const SimTime floor = horizon_ > window_ ? horizon_ - window_ : 0;
+    while (!demand_.empty() && demand_.front().arrival < floor) {
+      demand_sum_ -= demand_.front().service;
+      demand_.pop_front();
+    }
+  }
+
+  struct Demand {
+    SimTime arrival;
+    SimTime service;
+  };
+  Discipline discipline_;
+  SimTime window_;
+  SimTime horizon_ = 0;
+  SimTime demand_sum_ = 0;
+  std::deque<Demand> demand_;
+  SimTime busy_until_ = 0;
+  SimTime total_busy_ = 0;
+  SimTime total_wait_ = 0;
+  uint64_t jobs_ = 0;
+};
+
+// One seeded stream per call: mostly small forward steps, with arrivals that jump
+// backwards (non-monotone serialized order), same-instant bursts of hundreds of requests
+// (far past any small initial ring capacity), and idle gaps longer than the window.
+void ExpectWindowParity(QueueModelKind kind, bool stage, uint64_t seed, SimTime window) {
+  const FabricConfig config = Config(kind, window);
+  const auto model = stage ? MakeStageModel(config) : MakeQueueModel(config);
+  using D = DequeReference::Discipline;
+  const D discipline = stage && kind == QueueModelKind::kFifo ? D::kPassThrough
+                       : kind == QueueModelKind::kFifo        ? D::kFifo
+                                                              : D::kWindowedMG1;
+  DequeReference ref(discipline, window);
+  Rng rng(seed);
+  SimTime clock = 1'000'000;
+  for (int i = 0; i < 20'000; ++i) {
+    const double roll = rng.NextDouble();
+    int burst = 1;
+    if (roll < 0.01) {
+      clock += window + rng.NextBelow(4 * window);  // Idle gap past the window.
+    } else if (roll < 0.015) {
+      burst = 100 + static_cast<int>(rng.NextBelow(400));  // Same-instant burst.
+    } else if (roll < 0.10) {
+      clock -= std::min<SimTime>(clock, rng.NextBelow(window));  // Arrival goes back.
+    } else {
+      clock += rng.NextBelow(window / 50 + 1);
+    }
+    for (int b = 0; b < burst; ++b) {
+      const SimTime service = rng.NextBelow(2'000);
+      const QueueModel::Grant got = model->Acquire(clock, service);
+      const QueueModel::Grant want = ref.Acquire(clock, service);
+      ASSERT_EQ(got.start, want.start) << "call " << i << "/" << b;
+      ASSERT_EQ(got.finish, want.finish) << "call " << i << "/" << b;
+      ASSERT_EQ(got.wait, want.wait) << "call " << i << "/" << b;
+      ASSERT_EQ(model->Utilization(), ref.Utilization()) << "call " << i << "/" << b;
+      ASSERT_EQ(model->QueueDepth(), ref.QueueDepth()) << "call " << i << "/" << b;
+      ASSERT_EQ(model->demand_sum(), ref.demand_sum()) << "call " << i << "/" << b;
+    }
+  }
+  EXPECT_EQ(model->total_busy(), ref.total_busy());
+  EXPECT_EQ(model->total_wait(), ref.total_wait());
+  EXPECT_EQ(model->jobs(), ref.jobs());
+}
+
+TEST(QueueModel, RingWindowMatchesDequeReferenceFifo) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    ExpectWindowParity(QueueModelKind::kFifo, /*stage=*/false, seed, /*window=*/200'000);
+    ExpectWindowParity(QueueModelKind::kFifo, /*stage=*/false, seed, /*window=*/5'000);
+  }
+}
+
+TEST(QueueModel, RingWindowMatchesDequeReferencePassThrough) {
+  for (const uint64_t seed : {4u, 5u, 6u}) {
+    SCOPED_TRACE(seed);
+    ExpectWindowParity(QueueModelKind::kFifo, /*stage=*/true, seed, /*window=*/200'000);
+    ExpectWindowParity(QueueModelKind::kFifo, /*stage=*/true, seed, /*window=*/5'000);
+  }
+}
+
+TEST(QueueModel, RingWindowMatchesDequeReferenceWindowedMG1) {
+  for (const uint64_t seed : {7u, 8u, 9u}) {
+    SCOPED_TRACE(seed);
+    ExpectWindowParity(QueueModelKind::kWindowedMG1, /*stage=*/false, seed,
+                       /*window=*/200'000);
+    ExpectWindowParity(QueueModelKind::kWindowedMG1, /*stage=*/true, seed,
+                       /*window=*/5'000);
+  }
 }
 
 // --- Windowed M/G/1: analytical load response ------------------------------------------
