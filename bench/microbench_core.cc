@@ -300,7 +300,9 @@ void BM_InvalidationWave(benchmark::State& state) {
   }
   const VirtAddr va =
       *rack.Mmap(pid, kRegions * kDefaultInitialRegionSize, PermClass::kReadWrite);
-  const auto region = [&](uint64_t n) { return va + (n % kRegions) * kDefaultInitialRegionSize; };
+  const auto region = [&](uint64_t n) {
+    return va + (n % kRegions) * kDefaultInitialRegionSize;
+  };
   SimTime now = 0;
   uint64_t next = 0;
   for (auto _ : state) {

@@ -242,7 +242,7 @@ MIND_SERIALIZED_PATH AccessResult GamSystem::Access(ThreadId tid, ComputeBladeId
   if (dir.state == MsiState::kModified && dir.owner != blade) {
     // Owner flushes the page, sequentially before the fetch.
     SimTime at_owner = BladeToBlade(home, dir.owner, MessageKind::kInvalidation, t);
-    (void)blades_[dir.owner].cache->InvalidateRange(page, page + 1);
+    (void)blades_[dir.owner].cache->InvalidateRange(page, page + 1, /*flushed=*/nullptr);
     at_owner += lat().invalidation_handler_cpu + lat().page_flush_cpu;
     const SimTime flushed = FlushToMemory(page, dir.owner, at_owner);
     ++counters_.invalidations;
@@ -257,7 +257,7 @@ MIND_SERIALIZED_PATH AccessResult GamSystem::Access(ThreadId tid, ComputeBladeId
       others &= others - 1;
       const SimTime at_sharer = BladeToBlade(home, s, MessageKind::kInvalidation, send);
       send += lat().rdma_message_overhead;  // Sequential software sends.
-      (void)blades_[s].cache->InvalidateRange(page, page + 1);
+      (void)blades_[s].cache->InvalidateRange(page, page + 1, /*flushed=*/nullptr);
       ++counters_.invalidations;
       const SimTime ack = BladeToBlade(s, home, MessageKind::kInvalidationAck,
                                        at_sharer + lat().invalidation_handler_cpu);
@@ -360,9 +360,10 @@ SimTime GamSystem::ResetPage(uint64_t page, ComputeBladeId home, SimTime t) {
   blades_[home].directory.erase(page);
   uint64_t flushed = 0;
   SimTime done = t;
+  std::vector<DramCache::Eviction> dirty;
   for (int b = 0; b < config_.num_compute_blades; ++b) {
-    auto inv = blades_[b].cache->InvalidateRange(page, page + 1);
-    for (auto& ev : inv.flushed) {
+    (void)blades_[b].cache->InvalidateRange(page, page + 1, &dirty);
+    for (const auto& ev : dirty) {
       done = std::max(done, FlushToMemory(ev.page, static_cast<ComputeBladeId>(b), t));
       ++counters_.pages_flushed;
       ++flushed;

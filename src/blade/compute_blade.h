@@ -29,18 +29,20 @@ class ComputeBlade {
   [[nodiscard]] const DramCache& cache() const { return cache_; }
 
   // Processes an invalidation request for region [base, end) that arrived at `arrival`.
-  // Returns the flush set and the timing decomposition. The requested page (the one the
-  // requesting blade asked for) is identified so false invalidations can be counted by the
-  // caller: every *other* dirty page flushed here was invalidated "falsely" (§4.3.1).
+  // Replaces the contents of the caller-owned `*flushed` with the dirty pages to write
+  // back (ascending page order; DramCache::InvalidateRange) and returns the timing
+  // decomposition. The caller identifies the requested page (the one the requesting blade
+  // asked for) to count false invalidations: every *other* dirty page flushed here was
+  // invalidated "falsely" (§4.3.1).
   struct InvalidationOutcome {
     SimTime start = 0;          // When the handler began (>= arrival).
     SimTime done = 0;           // When flushes were posted and PTEs dropped.
     SimTime queue_wait = 0;     // Handler-queue delay.
     SimTime tlb_time = 0;       // Synchronous TLB shootdown portion.
-    std::vector<DramCache::Eviction> flushed;  // Dirty pages to write back.
     uint64_t dropped_clean = 0;
   };
-  InvalidationOutcome HandleInvalidation(VirtAddr base, VirtAddr end, SimTime arrival);
+  InvalidationOutcome HandleInvalidation(VirtAddr base, VirtAddr end, SimTime arrival,
+                                         std::vector<DramCache::Eviction>* flushed);
 
   // Per-blade counters.
   [[nodiscard]] uint64_t invalidations_received() const { return invalidations_received_; }

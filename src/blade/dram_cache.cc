@@ -82,19 +82,29 @@ void DramCache::LruInsertAtDepth(Frame& frame, uint32_t depth) {
 }
 
 void DramCache::IndexSetPage(uint64_t page) {
-  Region& region = regions_[page / kRegionPages];
+  const uint64_t number = page / kRegionPages;
+  const uint32_t* slot = region_slots_.Find(number);
+  if (slot == nullptr) {
+    const auto fresh = static_cast<uint32_t>(regions_.size());
+    regions_.push_back(Region{{}, number, 0});
+    slot = region_slots_.Upsert(number, fresh).first;
+  }
+  Region& region = regions_[*slot];
   const uint64_t bit = page % kRegionPages;
   region.bits[bit >> 6] |= uint64_t{1} << (bit & 63);
-  ++region.count;
+  if (region.count++ == 0) {
+    ++live_regions_;
+  }
 }
 
 void DramCache::IndexClearPage(uint64_t page) {
-  auto it = regions_.find(page / kRegionPages);
-  assert(it != regions_.end());
+  const uint32_t* slot = region_slots_.Find(page / kRegionPages);
+  assert(slot != nullptr);
+  Region& region = regions_[*slot];
   const uint64_t bit = page % kRegionPages;
-  it->second.bits[bit >> 6] &= ~(uint64_t{1} << (bit & 63));
-  if (--it->second.count == 0) {
-    regions_.erase(it);
+  region.bits[bit >> 6] &= ~(uint64_t{1} << (bit & 63));
+  if (--region.count == 0) {
+    --live_regions_;  // The region stays indexed, empty, for its next page.
   }
 }
 
@@ -223,18 +233,23 @@ void DramCache::MarkDirty(uint64_t page) {
 
 template <bool kMutates, typename Fn>
 void DramCache::ForEachPageInRange(uint64_t page_begin, uint64_t page_end, Fn&& fn) const {
-  if (page_begin >= page_end || regions_.empty()) {
+  if (page_begin >= page_end || live_regions_ == 0) {
     return;
   }
   const uint64_t region_begin = page_begin / kRegionPages;
   const uint64_t region_last = (page_end - 1) / kRegionPages;
 
   auto process_region = [&](uint64_t r) {
-    auto rit = regions_.find(r);
-    if (rit == regions_.end()) {
+    const uint32_t* slot = region_slots_.Find(r);
+    if (slot == nullptr) {
       return;
     }
+    // fn removes pages at most, never indexes a new region, so the reference is stable.
+    const Region& region = regions_[*slot];
     for (uint64_t w = 0; w < kRegionPages / 64; ++w) {
+      if (region.count == 0) {
+        break;  // Empty (or emptied by fn): nothing left to visit.
+      }
       const uint64_t word_base = r * kRegionPages + w * 64;
       if (word_base >= page_end) {
         break;
@@ -244,7 +259,7 @@ void DramCache::ForEachPageInRange(uint64_t page_begin, uint64_t page_end, Fn&& 
       }
       // Snapshot the word with the range boundaries masked off, then visit set bits
       // ascending; fn may mutate the region (kMutates) without disturbing the snapshot.
-      uint64_t bits = rit->second.bits[w];
+      uint64_t bits = region.bits[w];
       if (page_begin > word_base) {
         bits &= ~uint64_t{0} << (page_begin - word_base);
       }
@@ -255,26 +270,18 @@ void DramCache::ForEachPageInRange(uint64_t page_begin, uint64_t page_end, Fn&& 
         fn(word_base + static_cast<uint64_t>(std::countr_zero(bits)));
         bits &= bits - 1;
       }
-      if constexpr (kMutates) {
-        // fn may have removed pages and thereby erased the region once empty.
-        rit = regions_.find(r);
-        if (rit == regions_.end()) {
-          break;
-        }
-      }
     }
   };
 
-  if (region_last - region_begin >= regions_.size()) {
+  if (region_last - region_begin >= live_regions_) {
     // Sparse range (e.g. a whole-VMA shoot-down over a huge mapping): visiting the live
     // regions that intersect it beats probing every region number in the span.
     std::vector<uint64_t> keys;
-    keys.reserve(regions_.size());
-    // detlint: allow(unordered-iteration): keys are collected then sorted before the
-    // order-sensitive visit below.
-    for (const auto& [r, region] : regions_) {
-      if (r >= region_begin && r <= region_last) {
-        keys.push_back(r);
+    keys.reserve(live_regions_);
+    for (const Region& region : regions_) {
+      if (region.count != 0 && region.number >= region_begin &&
+          region.number <= region_last) {
+        keys.push_back(region.number);
       }
     }
     std::sort(keys.begin(), keys.end());  // fn must still see ascending page order.
@@ -288,9 +295,12 @@ void DramCache::ForEachPageInRange(uint64_t page_begin, uint64_t page_end, Fn&& 
   }
 }
 
-DramCache::RangeInvalidation DramCache::InvalidateRange(uint64_t page_begin,
-                                                        uint64_t page_end) {
-  RangeInvalidation result;
+uint64_t DramCache::InvalidateRange(uint64_t page_begin, uint64_t page_end,
+                                   std::vector<Eviction>* flushed) {
+  if (flushed != nullptr) {
+    flushed->clear();
+  }
+  uint64_t dropped_clean = 0;
   if (page_begin < page_end) {
     // Stamp the invalidation even over pages the cache does not hold: an in-flight
     // prefetch for this range must observe the wave and discard its (stale) install.
@@ -306,13 +316,13 @@ DramCache::RangeInvalidation DramCache::InvalidateRange(uint64_t page_begin,
   }
   ForEachPageInRange<true>(page_begin, page_end, [&](uint64_t page) {
     Eviction ev = RemoveFrame(*index_.Find(page));
-    if (ev.dirty) {
-      result.flushed.push_back(std::move(ev));
-    } else {
-      ++result.dropped_clean;
+    if (!ev.dirty) {
+      ++dropped_clean;
+    } else if (flushed != nullptr) {
+      flushed->push_back(std::move(ev));
     }
   });
-  return result;
+  return dropped_clean;
 }
 
 DramCache::RangeInvalidation DramCache::DowngradeRange(uint64_t page_begin,

@@ -10,8 +10,9 @@
 // probe plus an intrusive LRU relink: frames live in a chunked arena (stable pointers, no
 // per-node allocation) linked by 32-bit indices, and a flat open-addressed map takes page
 // number to arena slot. Ordered range invalidation is preserved without an ordered map via
-// a compact per-region page index: one presence bitmap per aligned 512-page (2 MB) region,
-// walked region-by-region, word-by-word, in ascending page order.
+// a compact per-region page index: one presence bitmap per aligned 512-page (2 MB) region
+// (a flat map of slots into a region vector), walked region-by-region, word-by-word, in
+// ascending page order.
 //
 // Page payloads are optional: correctness tests and the examples move real bytes, while the
 // figure benches run metadata-only to keep memory use flat. When payloads are on, they come
@@ -27,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/chunked_arena.h"
@@ -114,16 +114,21 @@ class DramCache {
   // Marks a cached page dirty after a store. No-op if absent.
   void MarkDirty(uint64_t page);
 
-  // Invalidates every cached page in [page_begin, page_end): dirty pages are returned for
-  // write-back (these are the "flushed pages" of Fig. 6), clean pages are simply dropped.
+  // Invalidates every cached page in [page_begin, page_end): dirty pages go to write-back
+  // (these are the "flushed pages" of Fig. 6), clean pages are simply dropped. Replaces
+  // the contents of `*flushed` with the dirty pages in ascending page order — a
+  // caller-owned buffer, so a reused one keeps invalidation waves allocation-free — or
+  // discards them when `flushed` is null (the mapping is going away). Returns the number
+  // of clean pages dropped.
+  uint64_t InvalidateRange(uint64_t page_begin, uint64_t page_end,
+                           std::vector<Eviction>* flushed);
+
+  // Downgrade to read-only without dropping: flushes dirty pages (returned) and clears
+  // write permission. Used by the ablation that keeps M->S sharers resident.
   struct RangeInvalidation {
     std::vector<Eviction> flushed;  // Dirty pages needing write-back, ascending page order.
     uint64_t dropped_clean = 0;
   };
-  RangeInvalidation InvalidateRange(uint64_t page_begin, uint64_t page_end);
-
-  // Downgrade to read-only without dropping: flushes dirty pages (returned) and clears
-  // write permission. Used by the ablation that keeps M->S sharers resident.
   RangeInvalidation DowngradeRange(uint64_t page_begin, uint64_t page_end);
 
   [[nodiscard]] uint64_t CountRange(uint64_t page_begin, uint64_t page_end) const;
@@ -219,9 +224,15 @@ class DramCache {
 
  private:
   static constexpr uint32_t kNilFrame = UINT32_MAX;
+  // Presence bitmap of one aligned 512-page region. Invariant: a region, once indexed,
+  // persists at count 0 after its last page leaves (`bits` all clear) and is reused in
+  // place when pages return, so a region that ping-pongs between empty and populated
+  // under invalidation waves never frees or allocates. `live_regions_` counts the regions
+  // with count > 0; every walk skips the empty ones.
   struct Region {
     std::array<uint64_t, kRegionPages / 64> bits{};
-    uint32_t count = 0;
+    uint64_t number = 0;  // Region number (page / kRegionPages).
+    uint32_t count = 0;   // Pages present.
   };
 
   [[nodiscard]] Frame& FrameAt(uint32_t idx) { return arena_.At(idx); }
@@ -283,7 +294,9 @@ class DramCache {
   FlatMap64<uint64_t> region_inval_versions_;
   uint64_t wide_inval_version_ = 0;
   static constexpr uint64_t kWideInvalRegions = 32;
-  std::unordered_map<uint64_t, Region> regions_;  // Region number -> presence bitmap.
+  FlatMap64<uint32_t> region_slots_;  // Region number -> slot in regions_.
+  std::vector<Region> regions_;       // Every region ever indexed (see Region).
+  uint64_t live_regions_ = 0;         // Regions with count > 0.
 };
 
 static_assert(sizeof(DramCache::Frame) == 48, "Frame grew past 48 bytes");

@@ -7,9 +7,15 @@ namespace mind {
 void BoundedSplitting::RunEpoch(SimTime now) {
   ++stats_.epochs;
 
+  // The three directory passes walk the arena's live bitmap (ForEachUnordered), not the
+  // base-ordered side-index, and still reproduce an ordered walk exactly: pass 1 is an
+  // integer sum, pass 2 only reads state (the directory is not mutated until its
+  // candidate lists are sorted by base, which is the order an ordered walk appends in),
+  // and pass 3 updates each entry from that entry's own counters.
+
   // Pass 1: gather epoch totals.
   uint64_t total_false = 0;
-  directory_->ForEach([&](DirectoryEntry& e) {
+  directory_->ForEachUnordered([&](DirectoryEntry& e) {
     total_false += e.epoch_false_invalidations;
   });
   stats_.last_epoch_false_invalidations = total_false;
@@ -29,7 +35,7 @@ void BoundedSplitting::RunEpoch(SimTime now) {
   const bool merging_active = directory_->utilization() > config_.merge_low_water;
   std::vector<VirtAddr> split_candidates;
   std::vector<VirtAddr> merge_candidates;
-  directory_->ForEach([&](DirectoryEntry& e) {
+  directory_->ForEachUnordered([&](DirectoryEntry& e) {
     const auto f = static_cast<double>(e.epoch_false_invalidations);
     if (f > t && f >= 1.0 && e.size_log2 > min_log2) {
       split_candidates.push_back(e.base);
@@ -56,6 +62,8 @@ void BoundedSplitting::RunEpoch(SimTime now) {
       merge_candidates.push_back(e.base);
     }
   });
+  std::sort(split_candidates.begin(), split_candidates.end());
+  std::sort(merge_candidates.begin(), merge_candidates.end());
 
   // Merges run first so the slots they free are available to this epoch's splits.
   // MergeWithBuddy re-checks existence, buddy size equality and state compatibility.
@@ -97,7 +105,7 @@ void BoundedSplitting::RunEpoch(SimTime now) {
   }
 
   // Pass 3: update quiet streaks, then reset epoch counters for the next window.
-  directory_->ForEach([&](DirectoryEntry& e) {
+  directory_->ForEachUnordered([&](DirectoryEntry& e) {
     e.quiet_epochs = e.epoch_false_invalidations == 0 ? e.quiet_epochs + 1 : 0;
     e.ResetEpochCounters();
   });

@@ -134,8 +134,12 @@ Rack::InvalidationWave Rack::InvalidateBlades(SharerMask targets, const Director
     return wave;
   }
   ++cache_epoch_;  // Invalidation wave: every pipeline-cache slot must revalidate.
-  const auto deliveries = config_.use_multicast ? fabric_.MulticastInvalidation(targets, t)
-                                                : fabric_.UnicastInvalidations(targets, t);
+  std::vector<Fabric::MulticastDelivery>& deliveries = wave_deliveries_;
+  if (config_.use_multicast) {
+    fabric_.MulticastInvalidation(targets, t, &deliveries);
+  } else {
+    fabric_.UnicastInvalidations(targets, t, &deliveries);
+  }
   stats_.invalidations_sent += deliveries.size();
   if (trace_ != nullptr) [[unlikely]] {
     // Wave issue: multicast puts every copy on the wire at once, unicast staggers them —
@@ -164,17 +168,19 @@ Rack::InvalidationWave Rack::InvalidateBlades(SharerMask targets, const Director
       // ACK — and the whole wave — lands late at the requester. Pure function of time.
       arrival += fault_plane_.StallDelay(d.blade, arrival);
     }
-    auto outcome = sharer.HandleInvalidation(entry.base, entry.end(), arrival);
+    const auto outcome =
+        sharer.HandleInvalidation(entry.base, entry.end(), arrival, &wave_flushed_);
 
     SimTime flush_land = outcome.done;
-    for (auto& ev : outcome.flushed) {
+    for (const auto& ev : wave_flushed_) {
       flush_land = std::max(flush_land,
                             WriteBackPage(d.blade, ev.page, ev.data.get(), outcome.done));
       if (ev.page != requested_page) {
         ++wave.false_invalidations;
       }
     }
-    wave.flushed += outcome.flushed.size();
+    wave.flushed += wave_flushed_.size();
+    wave_flushed_.clear();  // Written back: the payloads return to the sharer's arena.
     wave.clean_drops += outcome.dropped_clean;
     wave.flush_landed = std::max(wave.flush_landed, flush_land);
 
@@ -1333,14 +1339,12 @@ void Rack::ShootDownRange(VirtAddr base, uint64_t size, bool write_back) {
   const uint64_t first = PageNumber(base);
   const uint64_t last = PageNumber(base + size - 1) + 1;
   for (auto& blade : compute_blades_) {
-    auto inv = blade->cache().InvalidateRange(first, last);
-    if (!write_back) {
-      continue;
-    }
-    for (auto& ev : inv.flushed) {
+    (void)blade->cache().InvalidateRange(first, last, write_back ? &wave_flushed_ : nullptr);
+    for (const auto& ev : wave_flushed_) {
       ++stats_.pages_flushed;
       WriteBackPage(blade->id(), ev.page, ev.data.get(), /*start=*/0);
     }
+    wave_flushed_.clear();
   }
 }
 
@@ -1373,7 +1377,8 @@ Status Rack::Munmap(ProcessId pid, VirtAddr base) {
   // covered directory entries.
   ++cache_epoch_;
   for (auto& blade : compute_blades_) {
-    (void)blade->cache().InvalidateRange(PageNumber(begin), PageNumber(end - 1) + 1);
+    (void)blade->cache().InvalidateRange(PageNumber(begin), PageNumber(end - 1) + 1,
+                                         /*flushed=*/nullptr);
   }
   std::vector<VirtAddr> to_remove;
   directory_.ForEach([&](DirectoryEntry& e) {

@@ -134,12 +134,32 @@ class CacheDirectory {
   // O(1) and a removed cursor entry is skipped naturally instead of derailing the sweep.
   [[nodiscard]] std::optional<VirtAddr> FindEvictionVictim(SimTime now, int scan_limit = 64);
 
-  // Iteration for the control plane (bounded splitting, stats sampling), in ascending
-  // region-base order via the ordered side-index.
+  // Iteration for the control plane, in ascending region-base order via the ordered
+  // side-index. Walks that mutate the directory afterwards in visit order must use this:
+  // MigrateRange and Munmap collect bases here and Remove them in that order, and the
+  // order of Removes decides which freed arena slot the next Create reuses.
   template <typename Fn>
   void ForEach(Fn&& fn) {
     for (auto& [base, idx] : ordered_) {
       fn(EntryAt(idx));
+    }
+  }
+
+  // Iteration in arena-slot order: a word-level bit-scan of the live bitmap, with no
+  // pointer chasing through the ordered side-index. The order follows the history of slot
+  // reuse, not region bases, so this is only for walks whose outcome cannot depend on it:
+  // order-free reductions (sums), updates that touch only the visited entry, and read-only
+  // collection passes whose results the caller sorts before acting on them — the three
+  // passes of a bounded-splitting epoch (BoundedSplitting::RunEpoch). `fn` must not
+  // create, remove, split or merge entries.
+  template <typename Fn>
+  void ForEachUnordered(Fn&& fn) {
+    for (size_t w = 0; w < live_.size(); ++w) {
+      uint64_t word = live_[w];
+      while (word != 0) {
+        fn(EntryAt(static_cast<uint32_t>(w * 64 + LowestSetBit(word))));
+        word &= word - 1;
+      }
     }
   }
 

@@ -1,6 +1,6 @@
 #include "src/net/fabric.h"
 
-#include <utility>
+#include <cassert>
 
 #include "src/obs/metrics_registry.h"
 
@@ -8,7 +8,14 @@ namespace mind {
 
 Fabric::Fabric(int num_compute_blades, int num_memory_blades, const LatencyModel& latency,
                const FabricConfig& config)
-    : latency_(latency), config_(config) {
+    : latency_(latency),
+      config_(config),
+      page_serialize_(latency.Serialize(latency.page_payload_bytes)),
+      control_serialize_(latency.Serialize(latency.control_message_bytes)),
+      page_stage_(page_serialize_ / 4),
+      control_stage_(control_serialize_ / 4),
+      pipeline_stage_(MakeStageModel(config)),
+      recirc_stage_(MakeStageModel(config)) {
   compute_tx_.reserve(static_cast<size_t>(num_compute_blades));
   compute_rx_.reserve(static_cast<size_t>(num_compute_blades));
   for (int i = 0; i < num_compute_blades; ++i) {
@@ -21,35 +28,26 @@ Fabric::Fabric(int num_compute_blades, int num_memory_blades, const LatencyModel
     memory_tx_.push_back(MakeQueueModel(config));
     memory_rx_.push_back(MakeQueueModel(config));
   }
-  switch_cpu_link_ = MakeQueueModel(config);
-  pipeline_stage_ = MakeStageModel(config);
-  recirc_stage_ = MakeStageModel(config);
+}
+
+const QueueModel& Fabric::TxOf(const Endpoint& e) const {
+  assert(!e.IsSwitch());
+  return e.kind == Endpoint::Kind::kComputeBlade ? compute_tx_[e.id] : memory_tx_[e.id];
+}
+
+const QueueModel& Fabric::RxOf(const Endpoint& e) const {
+  assert(!e.IsSwitch());
+  return e.kind == Endpoint::Kind::kComputeBlade ? compute_rx_[e.id] : memory_rx_[e.id];
 }
 
 QueueModel& Fabric::TxOf(const Endpoint& e) {
-  switch (e.kind) {
-    case Endpoint::Kind::kComputeBlade:
-      return *compute_tx_[e.id];
-    case Endpoint::Kind::kMemoryBlade:
-      return *memory_tx_[e.id];
-    case Endpoint::Kind::kSwitchCpu:
-    case Endpoint::Kind::kSwitch:
-      return *switch_cpu_link_;
-  }
-  return *switch_cpu_link_;
+  assert(!e.IsSwitch());
+  return e.kind == Endpoint::Kind::kComputeBlade ? compute_tx_[e.id] : memory_tx_[e.id];
 }
 
 QueueModel& Fabric::RxOf(const Endpoint& e) {
-  switch (e.kind) {
-    case Endpoint::Kind::kComputeBlade:
-      return *compute_rx_[e.id];
-    case Endpoint::Kind::kMemoryBlade:
-      return *memory_rx_[e.id];
-    case Endpoint::Kind::kSwitchCpu:
-    case Endpoint::Kind::kSwitch:
-      return *switch_cpu_link_;
-  }
-  return *switch_cpu_link_;
+  assert(!e.IsSwitch());
+  return e.kind == Endpoint::Kind::kComputeBlade ? compute_rx_[e.id] : memory_rx_[e.id];
 }
 
 MIND_SERIALIZED_PATH Fabric::Delivery Fabric::Route(const Endpoint& from, const Endpoint& to,
@@ -57,8 +55,7 @@ MIND_SERIALIZED_PATH Fabric::Delivery Fabric::Route(const Endpoint& from, const 
                                                     bool recirculate) {
   Delivery d;
   SimTime t = now;
-  const uint64_t bytes = PayloadBytes(kind);
-  const SimTime ser = latency_.Serialize(bytes);
+  const SimTime ser = SerializeTime(kind);
   if (!from.IsSwitch()) {
     // Sender egress: the port serializes wire bytes only; per-message NIC processing
     // (doorbells, CQEs) pipelines with other messages, so it adds latency without
@@ -69,11 +66,11 @@ MIND_SERIALIZED_PATH Fabric::Delivery Fabric::Route(const Endpoint& from, const 
     t = grant.finish + latency_.rdma_message_overhead + latency_.link_propagation;
     // Switch entry: one pipeline pass (parser + match-action stages), plus the
     // directory-update recirculation when requested.
-    const auto stage = pipeline_stage_->Acquire(t, StageService(bytes));
+    const auto stage = pipeline_stage_.Acquire(t, StageService(kind));
     d.switch_wait += stage.wait;
     t += stage.wait + latency_.switch_pipeline;
     if (recirculate) {
-      const auto recirc = recirc_stage_->Acquire(t, StageService(bytes));
+      const auto recirc = recirc_stage_.Acquire(t, StageService(kind));
       d.switch_wait += recirc.wait;
       t += recirc.wait + latency_.switch_recirculation;
     }
@@ -105,53 +102,46 @@ MIND_SERIALIZED_PATH Fabric::RttDelivery Fabric::Rtt(const Endpoint& from, const
 }
 
 MIND_SERIALIZED_PATH SimTime Fabric::Recirculate(SimTime now, SimTime* wait) {
-  const auto stage =
-      recirc_stage_->Acquire(now, StageService(latency_.control_message_bytes));
+  const auto stage = recirc_stage_.Acquire(now, control_stage_);
   if (wait != nullptr) {
     *wait = stage.wait;
   }
   return now + stage.wait + latency_.switch_recirculation;
 }
 
-MIND_SERIALIZED_PATH std::vector<Fabric::MulticastDelivery> Fabric::MulticastInvalidation(
-    SharerMask sharers, SimTime now) {
-  std::vector<MulticastDelivery> out;
+MIND_SERIALIZED_PATH void Fabric::MulticastInvalidation(SharerMask sharers, SimTime now,
+                                                     std::vector<MulticastDelivery>* out) {
+  out->clear();
   SharerMask remaining = sharers;
   while (remaining != 0) {
     const auto blade = static_cast<ComputeBladeId>(LowestSetBit(remaining));
     remaining &= remaining - 1;
-    out.push_back({blade, Route(Endpoint::Switch(), Endpoint::Compute(blade),
-                                MessageKind::kInvalidation, now)});
+    out->push_back({blade, Route(Endpoint::Switch(), Endpoint::Compute(blade),
+                                 MessageKind::kInvalidation, now)});
     ++invalidations_sent_;
   }
   ++multicast_operations_;
-  return out;
 }
 
-MIND_SERIALIZED_PATH std::vector<Fabric::MulticastDelivery> Fabric::UnicastInvalidations(
-    SharerMask sharers, SimTime now) {
-  std::vector<MulticastDelivery> out;
+MIND_SERIALIZED_PATH void Fabric::UnicastInvalidations(SharerMask sharers, SimTime now,
+                                                    std::vector<MulticastDelivery>* out) {
+  out->clear();
   SimTime send_time = now;
   SharerMask remaining = sharers;
   while (remaining != 0) {
     const auto blade = static_cast<ComputeBladeId>(LowestSetBit(remaining));
     remaining &= remaining - 1;
     // Sequential issue: each message occupies the sender CPU/NIC before the next.
-    send_time += latency_.rdma_message_overhead +
-                 latency_.Serialize(latency_.control_message_bytes);
-    out.push_back({blade, Route(Endpoint::Switch(), Endpoint::Compute(blade),
-                                MessageKind::kInvalidation, send_time)});
+    send_time += latency_.rdma_message_overhead + control_serialize_;
+    out->push_back({blade, Route(Endpoint::Switch(), Endpoint::Compute(blade),
+                                 MessageKind::kInvalidation, send_time)});
     ++invalidations_sent_;
   }
-  return out;
 }
 
 double Fabric::Utilization(const Endpoint& e) const {
-  // const_cast-free duplication of Tx/RxOf would need const overloads; keep one pair and
-  // cast here (pure reads).
-  auto* self = const_cast<Fabric*>(this);
-  const double tx = self->TxOf(e).Utilization();
-  const double rx = self->RxOf(e).Utilization();
+  const double tx = TxOf(e).Utilization();
+  const double rx = RxOf(e).Utilization();
   return tx > rx ? tx : rx;
 }
 
@@ -167,13 +157,13 @@ void Fabric::CollectMetrics(MetricsRegistry* reg, const std::string& prefix) con
   };
   for (size_t i = 0; i < compute_tx_.size(); ++i) {
     const std::string id = std::to_string(i);
-    port("compute" + id + "/tx", *compute_tx_[i]);
-    port("compute" + id + "/rx", *compute_rx_[i]);
+    port("compute" + id + "/tx", compute_tx_[i]);
+    port("compute" + id + "/rx", compute_rx_[i]);
   }
   for (size_t i = 0; i < memory_tx_.size(); ++i) {
     const std::string id = std::to_string(i);
-    port("memory" + id + "/tx", *memory_tx_[i]);
-    port("memory" + id + "/rx", *memory_rx_[i]);
+    port("memory" + id + "/tx", memory_tx_[i]);
+    port("memory" + id + "/rx", memory_rx_[i]);
   }
   const auto stage = [&](const std::string& name, const QueueModel& m) {
     const std::string base = prefix + "/switch/" + name;
@@ -182,8 +172,8 @@ void Fabric::CollectMetrics(MetricsRegistry* reg, const std::string& prefix) con
     reg->SetCounter(base + "/wait_ns", m.total_wait());
     reg->SetCounter(base + "/jobs", m.jobs());
   };
-  stage("pipeline", *pipeline_stage_);
-  stage("recirculation", *recirc_stage_);
+  stage("pipeline", pipeline_stage_);
+  stage("recirculation", recirc_stage_);
 }
 
 }  // namespace mind

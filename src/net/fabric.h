@@ -34,7 +34,6 @@
 #define MIND_SRC_NET_FABRIC_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,16 +48,15 @@ namespace mind {
 
 class MetricsRegistry;
 
-// Endpoint of a route: a compute blade, a memory blade, the switch CPU (control plane,
-// PCIe-attached) or the switch ASIC itself (pipeline-terminated half-routes).
+// Endpoint of a route: a compute blade, a memory blade, or the switch ASIC itself
+// (pipeline-terminated half-routes).
 struct Endpoint {
-  enum class Kind : uint8_t { kComputeBlade, kMemoryBlade, kSwitchCpu, kSwitch };
+  enum class Kind : uint8_t { kComputeBlade, kMemoryBlade, kSwitch };
   Kind kind = Kind::kComputeBlade;
   uint16_t id = 0;
 
   static Endpoint Compute(ComputeBladeId id) { return {Kind::kComputeBlade, id}; }
   static Endpoint Memory(MemoryBladeId id) { return {Kind::kMemoryBlade, id}; }
-  static Endpoint SwitchCpu() { return {Kind::kSwitchCpu, 0}; }
   static Endpoint Switch() { return {Kind::kSwitch, 0}; }
 
   [[nodiscard]] bool IsSwitch() const { return kind == Kind::kSwitch; }
@@ -68,7 +66,8 @@ class Fabric {
  public:
   // The fabric owns the rack's single LatencyModel instance (every system reads it back
   // through latency()) and builds one queue model per port direction + the two switch
-  // stages from `config`.
+  // stages from `config`. The per-kind serialization and stage-service times are fixed
+  // here, once.
   Fabric(int num_compute_blades, int num_memory_blades, const LatencyModel& latency,
          const FabricConfig& config = {});
 
@@ -114,22 +113,24 @@ class Fabric {
   // Multicast an invalidation from the switch to every compute blade whose bit is set in
   // `sharers`. The switch replicates the packet in the traffic manager; copies traverse
   // distinct egress ports in parallel. Copies for ports not leading to a sharer are
-  // dropped in the egress pipeline (§4.3.2), consuming no link bandwidth. Returns
-  // per-sharer deliveries in blade order alongside the ids.
+  // dropped in the egress pipeline (§4.3.2), consuming no link bandwidth. Replaces the
+  // contents of `*out` with the per-sharer deliveries in blade order alongside the ids;
+  // the caller owns the buffer, so a reused one makes a wave allocation-free.
   struct MulticastDelivery {
     ComputeBladeId blade;
     Delivery delivery;
   };
-  MIND_SERIALIZED_PATH std::vector<MulticastDelivery> MulticastInvalidation(
-      SharerMask sharers, SimTime now);
+  MIND_SERIALIZED_PATH void MulticastInvalidation(SharerMask sharers, SimTime now,
+                                                  std::vector<MulticastDelivery>* out);
 
   // Unicast equivalent (ablation baseline): the sender issues one invalidation after
   // another, paying per-message serialization sequentially at its own port before fan-out.
-  MIND_SERIALIZED_PATH std::vector<MulticastDelivery> UnicastInvalidations(
-      SharerMask sharers, SimTime now);
+  // Same output contract as MulticastInvalidation.
+  MIND_SERIALIZED_PATH void UnicastInvalidations(SharerMask sharers, SimTime now,
+                                                 std::vector<MulticastDelivery>* out);
 
-  // Windowed demand utilization of an endpoint's port, in [0, 1]: the max over its two
-  // directions (a fetch loads the rx side with requests and the tx side with page
+  // Windowed demand utilization of a blade endpoint's port, in [0, 1]: the max over its
+  // two directions (a fetch loads the rx side with requests and the tx side with page
   // responses). The occupancy-feedback signal for prefetch throttling.
   [[nodiscard]] double Utilization(const Endpoint& e) const;
 
@@ -148,29 +149,36 @@ class Fabric {
   [[nodiscard]] int num_memory_blades() const { return static_cast<int>(memory_tx_.size()); }
 
  private:
-  [[nodiscard]] uint64_t PayloadBytes(MessageKind kind) const {
-    return CarriesPage(kind) ? latency_.page_payload_bytes : latency_.control_message_bytes;
+  // Wire serialization of one message of `kind` at the port line rate.
+  [[nodiscard]] SimTime SerializeTime(MessageKind kind) const {
+    return CarriesPage(kind) ? page_serialize_ : control_serialize_;
   }
   // Service time a message occupies a pipeline stage for under a contending model: the
   // ASIC's aggregate pipeline bandwidth is ~4x one port's line rate, so a stage pass
   // costs a quarter of the wire serialization (docs/fabric.md). Pass-through (kFifo)
   // stages record this as demand without waiting.
-  [[nodiscard]] SimTime StageService(uint64_t bytes) const {
-    return latency_.Serialize(bytes) / 4;
+  [[nodiscard]] SimTime StageService(MessageKind kind) const {
+    return CarriesPage(kind) ? page_stage_ : control_stage_;
   }
 
+  // Port directions of a blade endpoint (switch endpoints have no port).
   QueueModel& TxOf(const Endpoint& e);
   QueueModel& RxOf(const Endpoint& e);
+  const QueueModel& TxOf(const Endpoint& e) const;
+  const QueueModel& RxOf(const Endpoint& e) const;
 
   LatencyModel latency_;
   FabricConfig config_;
-  std::vector<std::unique_ptr<QueueModel>> compute_tx_;  // blade -> switch, per blade.
-  std::vector<std::unique_ptr<QueueModel>> compute_rx_;  // switch -> blade.
-  std::vector<std::unique_ptr<QueueModel>> memory_tx_;
-  std::vector<std::unique_ptr<QueueModel>> memory_rx_;
-  std::unique_ptr<QueueModel> switch_cpu_link_;  // PCIe path to the switch CPU.
-  std::unique_ptr<QueueModel> pipeline_stage_;
-  std::unique_ptr<QueueModel> recirc_stage_;
+  SimTime page_serialize_;
+  SimTime control_serialize_;
+  SimTime page_stage_;
+  SimTime control_stage_;
+  std::vector<QueueModel> compute_tx_;  // blade -> switch, per blade.
+  std::vector<QueueModel> compute_rx_;  // switch -> blade.
+  std::vector<QueueModel> memory_tx_;
+  std::vector<QueueModel> memory_rx_;
+  QueueModel pipeline_stage_;
+  QueueModel recirc_stage_;
   uint64_t invalidations_sent_ = 0;
   uint64_t multicast_operations_ = 0;
 };

@@ -2,6 +2,8 @@
 // invalidation, invalidation-handler timing, memory blade page store.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/blade/compute_blade.h"
 #include "src/blade/dram_cache.h"
 #include "src/blade/memory_blade.h"
@@ -67,11 +69,12 @@ TEST(DramCache, InvalidateRangeSeparatesDirtyFromClean) {
   (void)c.Insert(20, true);  // Outside the range.
   c.MarkDirty(20);
 
-  auto inv = c.InvalidateRange(10, 13);
-  ASSERT_EQ(inv.flushed.size(), 2u);
-  EXPECT_EQ(inv.flushed[0].page, 10u);
-  EXPECT_EQ(inv.flushed[1].page, 12u);
-  EXPECT_EQ(inv.dropped_clean, 1u);
+  std::vector<DramCache::Eviction> flushed;
+  const uint64_t dropped_clean = c.InvalidateRange(10, 13, &flushed);
+  ASSERT_EQ(flushed.size(), 2u);
+  EXPECT_EQ(flushed[0].page, 10u);
+  EXPECT_EQ(flushed[1].page, 12u);
+  EXPECT_EQ(dropped_clean, 1u);
   EXPECT_EQ(c.Lookup(11), nullptr);   // All PTEs in range removed (§6.1).
   EXPECT_NE(c.Lookup(20), nullptr);   // Out of range untouched.
 }
@@ -118,15 +121,16 @@ TEST(ComputeBlade, InvalidationTimingComposition) {
   blade.cache().MarkDirty(PageNumber(0x10000));
   (void)blade.cache().Insert(PageNumber(0x11000), false);
 
-  auto out = blade.HandleInvalidation(0x10000, 0x12000, /*arrival=*/1000);
+  std::vector<DramCache::Eviction> flushed;
+  auto out = blade.HandleInvalidation(0x10000, 0x12000, /*arrival=*/1000, &flushed);
   EXPECT_EQ(out.start, 1000u);  // Idle queue: no wait.
   EXPECT_EQ(out.queue_wait, 0u);
   EXPECT_EQ(out.tlb_time, lat.tlb_shootdown);
   // Service = handler CPU + shootdown + 1 dirty-page flush.
   EXPECT_EQ(out.done,
             1000 + lat.invalidation_handler_cpu + lat.tlb_shootdown + lat.page_flush_cpu);
-  ASSERT_EQ(out.flushed.size(), 1u);
-  EXPECT_EQ(out.flushed[0].page, PageNumber(0x10000));
+  ASSERT_EQ(flushed.size(), 1u);
+  EXPECT_EQ(flushed[0].page, PageNumber(0x10000));
   EXPECT_EQ(out.dropped_clean, 1u);
   EXPECT_EQ(blade.pages_flushed(), 1u);
   EXPECT_EQ(blade.tlb_shootdowns(), 1u);
@@ -135,8 +139,9 @@ TEST(ComputeBlade, InvalidationTimingComposition) {
 TEST(ComputeBlade, EmptyRegionInvalidationIsCheap) {
   LatencyModel lat;
   ComputeBlade blade(0, 16, false, lat);
-  auto out = blade.HandleInvalidation(0x10000, 0x12000, 500);
-  EXPECT_TRUE(out.flushed.empty());
+  std::vector<DramCache::Eviction> flushed(1);  // Stale contents are replaced.
+  auto out = blade.HandleInvalidation(0x10000, 0x12000, 500, &flushed);
+  EXPECT_TRUE(flushed.empty());
   EXPECT_EQ(out.tlb_time, 0u);  // No PTEs dropped -> no shootdown.
   EXPECT_EQ(out.done, 500 + lat.invalidation_handler_cpu);
 }
@@ -147,8 +152,9 @@ TEST(ComputeBlade, ConcurrentInvalidationsQueue) {
   ComputeBlade blade(0, 16, false, lat);
   (void)blade.cache().Insert(1, false);
   (void)blade.cache().Insert(100, false);
-  auto first = blade.HandleInvalidation(PageToAddr(1), PageToAddr(2), 1000);
-  auto second = blade.HandleInvalidation(PageToAddr(100), PageToAddr(101), 1000);
+  std::vector<DramCache::Eviction> flushed;
+  auto first = blade.HandleInvalidation(PageToAddr(1), PageToAddr(2), 1000, &flushed);
+  auto second = blade.HandleInvalidation(PageToAddr(100), PageToAddr(101), 1000, &flushed);
   EXPECT_EQ(first.queue_wait, 0u);
   EXPECT_GT(second.queue_wait, 0u);
   EXPECT_EQ(second.start, first.done);

@@ -164,6 +164,17 @@ class RefCache {
   std::list<uint64_t> lru_;
 };
 
+// The cache's range invalidation collected into the reference's result shape.
+struct CacheInvalidation {
+  std::vector<DramCache::Eviction> flushed;
+  uint64_t dropped_clean = 0;
+};
+CacheInvalidation InvalidateInto(DramCache& cache, uint64_t begin, uint64_t end) {
+  CacheInvalidation r;
+  r.dropped_clean = cache.InvalidateRange(begin, end, &r.flushed);
+  return r;
+}
+
 class DramCacheParityTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DramCacheParityTest, FlatCacheMatchesSeedSemantics) {
@@ -204,7 +215,7 @@ TEST_P(DramCacheParityTest, FlatCacheMatchesSeedSemantics) {
     } else if (roll < 0.85) {
       const uint64_t span = 1 + rng.NextBelow(600);  // Crosses region boundaries.
       const uint64_t begin = rng.NextBelow(kPageSpace);
-      auto got = cache.InvalidateRange(begin, begin + span);
+      auto got = InvalidateInto(cache, begin, begin + span);
       auto want = ref.InvalidateRange(begin, begin + span);
       ASSERT_EQ(got.dropped_clean, want.dropped_clean) << "step " << step;
       ASSERT_EQ(got.flushed.size(), want.flushed.size()) << "step " << step;
@@ -245,7 +256,7 @@ TEST_P(DramCacheParityTest, FlatCacheMatchesSeedSemantics) {
         }
       }
       // Clear the sentinels so the next phase starts from the common working set.
-      (void)cache.InvalidateRange(0, sentinel + 1);
+      (void)InvalidateInto(cache, 0, sentinel + 1);
       (void)ref.InvalidateRange(0, sentinel + 1);
       ASSERT_EQ(cache.size(), ref.size());
     }
@@ -326,7 +337,7 @@ TEST_P(DramCachePrefetchParityTest, ColdInsertsMatchWalkAtDepth) {
       }
     } else if (roll < 0.85) {
       const uint64_t span = 1 + rng.NextBelow(64);
-      auto got = cache.InvalidateRange(page, page + span);
+      auto got = InvalidateInto(cache, page, page + span);
       auto want = ref.InvalidateRange(page, page + span);
       ASSERT_EQ(got.dropped_clean, want.dropped_clean) << "step " << step;
       ASSERT_EQ(got.flushed.size(), want.flushed.size()) << "step " << step;
@@ -351,7 +362,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DramCachePrefetchParityTest,
 // Applies the same range invalidation to both caches and checks the flush set (ascending
 // page order), the clean-drop count and occupancy.
 void ExpectSameInvalidation(DramCache& cache, RefCache& ref, uint64_t begin, uint64_t end) {
-  auto got = cache.InvalidateRange(begin, end);
+  auto got = InvalidateInto(cache, begin, end);
   auto want = ref.InvalidateRange(begin, end);
   ASSERT_EQ(got.dropped_clean, want.dropped_clean);
   ASSERT_EQ(got.flushed.size(), want.flushed.size());
@@ -428,7 +439,8 @@ TEST(DramCacheRegions, SparseShootDownSpanningMoreRegionsThanAreLive) {
   const uint64_t regions[] = {90'000, 70'001, 4'096, 513, 77, 3, 1};
   for (const uint64_t r : regions) {
     for (int i = 0; i < 12; ++i) {
-      const uint64_t page = r * DramCache::kRegionPages + rng.NextBelow(DramCache::kRegionPages);
+      const uint64_t page =
+          r * DramCache::kRegionPages + rng.NextBelow(DramCache::kRegionPages);
       (void)cache.Insert(page, /*writable=*/true, nullptr, 0);
       (void)ref.Insert(page, true, 0);
       if (rng.NextBelow(3) != 0) {

@@ -1,6 +1,8 @@
 // Unit tests for src/net: fabric link contention, multicast pruning, reliability protocol.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/bitops.h"
 #include "src/net/fabric.h"
 #include "src/net/message.h"
@@ -138,7 +140,8 @@ TEST(Fabric, UtilizationRisesWithLoad) {
 TEST(Fabric, MulticastReachesExactlySharers) {
   Fabric f(8, 1, Lat());
   const SharerMask sharers = BladeBit(1) | BladeBit(3) | BladeBit(6);
-  const auto deliveries = f.MulticastInvalidation(sharers, 0);
+  std::vector<Fabric::MulticastDelivery> deliveries;
+  f.MulticastInvalidation(sharers, 0, &deliveries);
   ASSERT_EQ(deliveries.size(), 3u);
   EXPECT_EQ(deliveries[0].blade, 1);
   EXPECT_EQ(deliveries[1].blade, 3);
@@ -156,8 +159,10 @@ TEST(Fabric, UnicastSlowerThanMulticastForFanout) {
   for (int i = 0; i < 8; ++i) {
     all |= BladeBit(static_cast<ComputeBladeId>(i));
   }
-  const auto mc = fm.MulticastInvalidation(all, 0);
-  const auto uc = fu.UnicastInvalidations(all, 0);
+  std::vector<Fabric::MulticastDelivery> mc;
+  std::vector<Fabric::MulticastDelivery> uc;
+  fm.MulticastInvalidation(all, 0, &mc);
+  fu.UnicastInvalidations(all, 0, &uc);
   SimTime mc_last = 0;
   SimTime uc_last = 0;
   for (const auto& d : mc) {
@@ -172,7 +177,9 @@ TEST(Fabric, UnicastSlowerThanMulticastForFanout) {
 
 TEST(Fabric, EmptyMaskNoDeliveries) {
   Fabric f(4, 1, Lat());
-  EXPECT_TRUE(f.MulticastInvalidation(0, 0).empty());
+  std::vector<Fabric::MulticastDelivery> deliveries(3);  // Stale contents are replaced.
+  f.MulticastInvalidation(0, 0, &deliveries);
+  EXPECT_TRUE(deliveries.empty());
   EXPECT_EQ(f.invalidations_sent(), 0u);
 }
 

@@ -1,5 +1,6 @@
 // Unit tests for src/net/queue_model.h: kFifo equivalence with FifoResource, demand
-// window expiry, windowed-M/G/1 load response, and the determinism contract — replay
+// window expiry, ring-buffer window parity with a std::deque reference for every
+// discipline, windowed-M/G/1 load response, and the determinism contract — replay
 // stays bit-identical across the execution matrix with a non-trivial queue model enabled
 // under a live fault schedule.
 #include <gtest/gtest.h>
@@ -31,51 +32,51 @@ FabricConfig Config(QueueModelKind kind, SimTime window = 200'000) {
 // --- kFifo: bit-identical to the historical FifoResource ------------------------------
 
 TEST(QueueModel, FifoBitIdenticalToFifoResource) {
-  const auto model = MakeQueueModel(Config(QueueModelKind::kFifo));
+  auto model = MakeQueueModel(Config(QueueModelKind::kFifo));
   FifoResource reference;
   // A deterministic mix of backlogged, idle-gap and zero-service requests.
   SimTime arrival = 0;
   for (int i = 0; i < 500; ++i) {
     const SimTime service = static_cast<SimTime>((i * 37) % 400);
     arrival += static_cast<SimTime>((i * 13) % 250);
-    const auto got = model->Acquire(arrival, service);
+    const auto got = model.Acquire(arrival, service);
     const auto want = reference.Acquire(arrival, service);
     ASSERT_EQ(got.start, want.start) << "request " << i;
     ASSERT_EQ(got.finish, want.finish) << "request " << i;
     ASSERT_EQ(got.wait, want.wait) << "request " << i;
   }
-  EXPECT_EQ(model->total_busy(), reference.total_busy());
-  EXPECT_EQ(model->total_wait(), reference.total_wait());
-  EXPECT_EQ(model->jobs(), reference.jobs());
+  EXPECT_EQ(model.total_busy(), reference.total_busy());
+  EXPECT_EQ(model.total_wait(), reference.total_wait());
+  EXPECT_EQ(model.jobs(), reference.jobs());
 }
 
 TEST(QueueModel, FifoStageModelIsPassThrough) {
   // Historical switch pipeline: a flat constant every message pays concurrently. The
   // default stage model must never add wait, whatever the backlog.
-  const auto stage = MakeStageModel(Config(QueueModelKind::kFifo));
+  auto stage = MakeStageModel(Config(QueueModelKind::kFifo));
   for (int i = 0; i < 100; ++i) {
-    const auto g = stage->Acquire(/*arrival=*/50, /*service=*/1000);
+    const auto g = stage.Acquire(/*arrival=*/50, /*service=*/1000);
     EXPECT_EQ(g.start, 50u);
     EXPECT_EQ(g.finish, 1050u);
     EXPECT_EQ(g.wait, 0u);
   }
   // Demand is still recorded: occupancy feedback works under the default too.
-  EXPECT_GT(stage->Utilization(), 0.0);
+  EXPECT_GT(stage.Utilization(), 0.0);
 }
 
 // --- Sliding demand window (shared by every model) ------------------------------------
 
 TEST(QueueModel, DemandWindowExpiresOldRequests) {
   // Small window: demand older than it must be forgotten.
-  const auto model = MakeQueueModel(Config(QueueModelKind::kFifo, /*window=*/1'000));
+  auto model = MakeQueueModel(Config(QueueModelKind::kFifo, /*window=*/1'000));
   for (int i = 0; i < 8; ++i) {
-    (void)model->Acquire(static_cast<SimTime>(i) * 10, /*service=*/100);
+    (void)model.Acquire(static_cast<SimTime>(i) * 10, /*service=*/100);
   }
-  EXPECT_GT(model->Utilization(), 0.0);
-  EXPECT_GT(model->QueueDepth(), 0u);
-  (void)model->Acquire(/*arrival=*/1'000'000, /*service=*/10);
-  EXPECT_EQ(model->QueueDepth(), 1u);  // Only the late request remains in the window.
-  EXPECT_EQ(model->demand_sum(), 10u);
+  EXPECT_GT(model.Utilization(), 0.0);
+  EXPECT_GT(model.QueueDepth(), 0u);
+  (void)model.Acquire(/*arrival=*/1'000'000, /*service=*/10);
+  EXPECT_EQ(model.QueueDepth(), 1u);  // Only the late request remains in the window.
+  EXPECT_EQ(model.demand_sum(), 10u);
 }
 
 // --- Ring-buffer window vs the std::deque reference ------------------------------------
@@ -163,10 +164,11 @@ class DequeReference {
 
 // One seeded stream per call: mostly small forward steps, with arrivals that jump
 // backwards (non-monotone serialized order), same-instant bursts of hundreds of requests
-// (far past any small initial ring capacity), and idle gaps longer than the window.
+// (far past any small initial ring capacity), idle gaps longer than the window, and
+// arrivals exactly one window after an earlier one (the expiry boundary).
 void ExpectWindowParity(QueueModelKind kind, bool stage, uint64_t seed, SimTime window) {
   const FabricConfig config = Config(kind, window);
-  const auto model = stage ? MakeStageModel(config) : MakeQueueModel(config);
+  auto model = stage ? MakeStageModel(config) : MakeQueueModel(config);
   using D = DequeReference::Discipline;
   const D discipline = stage && kind == QueueModelKind::kFifo ? D::kPassThrough
                        : kind == QueueModelKind::kFifo        ? D::kFifo
@@ -174,6 +176,7 @@ void ExpectWindowParity(QueueModelKind kind, bool stage, uint64_t seed, SimTime 
   DequeReference ref(discipline, window);
   Rng rng(seed);
   SimTime clock = 1'000'000;
+  std::vector<SimTime> recent;  // Earlier arrivals, for exact-boundary steps.
   for (int i = 0; i < 20'000; ++i) {
     const double roll = rng.NextDouble();
     int burst = 1;
@@ -183,24 +186,31 @@ void ExpectWindowParity(QueueModelKind kind, bool stage, uint64_t seed, SimTime 
       burst = 100 + static_cast<int>(rng.NextBelow(400));  // Same-instant burst.
     } else if (roll < 0.10) {
       clock -= std::min<SimTime>(clock, rng.NextBelow(window));  // Arrival goes back.
+    } else if (roll < 0.15 && !recent.empty()) {
+      clock = recent[rng.NextBelow(recent.size())] + window;  // Lands on the boundary.
     } else {
       clock += rng.NextBelow(window / 50 + 1);
     }
+    if (recent.size() < 64) {
+      recent.push_back(clock);
+    } else {
+      recent[static_cast<size_t>(i) % 64] = clock;
+    }
     for (int b = 0; b < burst; ++b) {
       const SimTime service = rng.NextBelow(2'000);
-      const QueueModel::Grant got = model->Acquire(clock, service);
+      const QueueModel::Grant got = model.Acquire(clock, service);
       const QueueModel::Grant want = ref.Acquire(clock, service);
       ASSERT_EQ(got.start, want.start) << "call " << i << "/" << b;
       ASSERT_EQ(got.finish, want.finish) << "call " << i << "/" << b;
       ASSERT_EQ(got.wait, want.wait) << "call " << i << "/" << b;
-      ASSERT_EQ(model->Utilization(), ref.Utilization()) << "call " << i << "/" << b;
-      ASSERT_EQ(model->QueueDepth(), ref.QueueDepth()) << "call " << i << "/" << b;
-      ASSERT_EQ(model->demand_sum(), ref.demand_sum()) << "call " << i << "/" << b;
+      ASSERT_EQ(model.Utilization(), ref.Utilization()) << "call " << i << "/" << b;
+      ASSERT_EQ(model.QueueDepth(), ref.QueueDepth()) << "call " << i << "/" << b;
+      ASSERT_EQ(model.demand_sum(), ref.demand_sum()) << "call " << i << "/" << b;
     }
   }
-  EXPECT_EQ(model->total_busy(), ref.total_busy());
-  EXPECT_EQ(model->total_wait(), ref.total_wait());
-  EXPECT_EQ(model->jobs(), ref.jobs());
+  EXPECT_EQ(model.total_busy(), ref.total_busy());
+  EXPECT_EQ(model.total_wait(), ref.total_wait());
+  EXPECT_EQ(model.jobs(), ref.jobs());
 }
 
 TEST(QueueModel, RingWindowMatchesDequeReferenceFifo) {
@@ -232,8 +242,8 @@ TEST(QueueModel, RingWindowMatchesDequeReferenceWindowedMG1) {
 // --- Windowed M/G/1: analytical load response ------------------------------------------
 
 TEST(QueueModel, WindowedMG1IdlePortHasNoWait) {
-  const auto model = MakeQueueModel(Config(QueueModelKind::kWindowedMG1));
-  const auto g = model->Acquire(/*arrival=*/0, /*service=*/500);
+  auto model = MakeQueueModel(Config(QueueModelKind::kWindowedMG1));
+  const auto g = model.Acquire(/*arrival=*/0, /*service=*/500);
   EXPECT_EQ(g.wait, 0u);  // First request sees an empty window.
   EXPECT_EQ(g.finish, 500u);
 }
@@ -244,11 +254,11 @@ TEST(QueueModel, WindowedMG1WaitRisesWithOfferedLoad) {
   constexpr SimTime kService = 1'000;
   SimTime last_wait = 0;
   for (const int jobs : {4, 16, 64, 160}) {
-    const auto model = MakeQueueModel(Config(QueueModelKind::kWindowedMG1,
+    auto model = MakeQueueModel(Config(QueueModelKind::kWindowedMG1,
                                              /*window=*/100'000));
     QueueModel::Grant g{};
     for (int i = 0; i < jobs; ++i) {
-      g = model->Acquire(/*arrival=*/static_cast<SimTime>(i), kService);
+      g = model.Acquire(/*arrival=*/static_cast<SimTime>(i), kService);
     }
     EXPECT_GE(g.wait, last_wait) << jobs << " jobs";
     last_wait = g.wait;
@@ -261,16 +271,16 @@ TEST(QueueModel, WindowedMG1WaitRisesWithOfferedLoad) {
 TEST(QueueModel, WindowedMG1UtilizationIsPureFunctionOfStream) {
   // Two models fed the same serialized stream must agree exactly — Utilization() has no
   // "current time" input that could diverge across replay modes.
-  const auto a = MakeQueueModel(Config(QueueModelKind::kWindowedMG1));
-  const auto b = MakeQueueModel(Config(QueueModelKind::kWindowedMG1));
+  auto a = MakeQueueModel(Config(QueueModelKind::kWindowedMG1));
+  auto b = MakeQueueModel(Config(QueueModelKind::kWindowedMG1));
   for (int i = 0; i < 100; ++i) {
     const SimTime arrival = static_cast<SimTime>(i) * 777;
     const SimTime service = static_cast<SimTime>((i * 31) % 900);
-    const auto ga = a->Acquire(arrival, service);
-    const auto gb = b->Acquire(arrival, service);
+    const auto ga = a.Acquire(arrival, service);
+    const auto gb = b.Acquire(arrival, service);
     ASSERT_EQ(ga.start, gb.start);
     ASSERT_EQ(ga.wait, gb.wait);
-    ASSERT_DOUBLE_EQ(a->Utilization(), b->Utilization());
+    ASSERT_DOUBLE_EQ(a.Utilization(), b.Utilization());
   }
 }
 

@@ -124,12 +124,19 @@ TEST(DramCachePayloads, RangeInvalidationFlushesRecycleOnDrop) {
     cache.MarkDirty(p);
   }
   EXPECT_EQ(cache.payload_pool().live(), 4u);
-  {
-    auto inv = cache.InvalidateRange(0, 4);
-    EXPECT_EQ(inv.flushed.size(), 4u);
-    EXPECT_EQ(cache.payload_pool().live(), 4u);  // In flight to write-back.
-  }
+  std::vector<DramCache::Eviction> flushed;
+  (void)cache.InvalidateRange(0, 4, &flushed);
+  EXPECT_EQ(flushed.size(), 4u);
+  EXPECT_EQ(cache.payload_pool().live(), 4u);  // In flight to write-back.
+  flushed.clear();
   EXPECT_EQ(cache.payload_pool().live(), 0u);  // All recycled after the flush.
+  // Discarded flushes (null buffer) recycle at once.
+  for (uint64_t p = 0; p < 4; ++p) {
+    (void)cache.Insert(p, /*writable=*/true, nullptr);
+    cache.MarkDirty(p);
+  }
+  EXPECT_EQ(cache.InvalidateRange(0, 4, /*flushed=*/nullptr), 0u);
+  EXPECT_EQ(cache.payload_pool().live(), 0u);
 }
 
 TEST(DramCachePayloads, MetadataOnlyModeAllocatesNothing) {
