@@ -228,6 +228,83 @@ TEST(Generators, PointerChaseIsDeterministicForSeed) {
   EXPECT_TRUE(differs);
 }
 
+// FNV-1a over (segment, page, type) of every op of every thread, in thread order.
+struct TraceDigest {
+  uint64_t ops = 0;
+  uint64_t fnv = 0xcbf29ce484222325ull;
+};
+
+TraceDigest DigestTraces(const WorkloadTraces& traces) {
+  TraceDigest d;
+  auto mix = [&d](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      d.fnv ^= (v >> (8 * i)) & 0xff;
+      d.fnv *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& t : traces.threads) {
+    for (const auto& op : t.ops) {
+      mix(op.segment);
+      mix(op.page);
+      mix(static_cast<uint64_t>(op.type));
+      ++d.ops;
+    }
+  }
+  return d;
+}
+
+// Pins the generators' exact output across commits: DeterministicForSeed compares two
+// runs of one binary, so only recorded values catch a change to what a spec produces.
+TEST(Generators, PresetTraceDigestsMatchRecorded) {
+  WorkloadSpec ma = MemcachedASpec(8, 2, 3000);
+  ma.shared_pages = 8192;  // The contended Memcached-A shape.
+  WorkloadSpec strided;
+  strided.name = "strided";
+  strided.num_blades = 2;
+  strided.threads_per_blade = 2;
+  strided.private_pages_per_thread = 997;
+  strided.private_pattern = Pattern::kStrided;
+  strided.stride_pages = 7;
+  strided.shared_pages = 4096;
+  strided.shared_pattern = Pattern::kStrided;
+  strided.shared_access_fraction = 0.3;
+  strided.shared_write_fraction = 0.2;
+  strided.accesses_per_thread = 3000;
+  WorkloadSpec chase;
+  chase.name = "chase";
+  chase.num_blades = 2;
+  chase.threads_per_blade = 2;
+  chase.private_pages_per_thread = 512;
+  chase.private_pattern = Pattern::kPointerChase;
+  chase.shared_pages = 1024;
+  chase.shared_pattern = Pattern::kPointerChase;
+  chase.shared_access_fraction = 0.5;
+  chase.shared_write_fraction = 0.5;
+  chase.accesses_per_thread = 3000;
+
+  struct Case {
+    const char* name;
+    WorkloadSpec spec;
+    uint64_t ops;
+    uint64_t fnv;
+  };
+  const Case cases[] = {
+      {"tf", TfSpec(4, 2, 3000), 24000, 0xa21f718f2e120d16ull},
+      {"gc", GcSpec(4, 2, 3000), 24000, 0xfb0cd453fd47d37ull},
+      {"mc", MemcachedCSpec(4, 2, 3000), 33571, 0xaee601354c13b2e6ull},
+      {"kvs", NativeKvsSpec(4, 2, 0.5, 3000), 24000, 0x591fe54afe4ea65full},
+      {"micro", MicroSpec(4, 0.5, 0.5, 400'000, 3000), 12000, 0xe22c2a189098767cull},
+      {"ma_contended", ma, 67252, 0x61c0bb6ce0be7589ull},
+      {"strided", strided, 12000, 0x699acaf125a90e37ull},
+      {"chase", chase, 12000, 0x11798b107a74e35bull},
+  };
+  for (const Case& c : cases) {
+    const TraceDigest d = DigestTraces(GenerateTraces(c.spec));
+    EXPECT_EQ(d.ops, c.ops) << c.name;
+    EXPECT_EQ(d.fnv, c.fnv) << c.name << " 0x" << std::hex << d.fnv;
+  }
+}
+
 TEST(Generators, MicroFootprintMatchesTotalPages) {
   const auto traces = GenerateTraces(MicroSpec(8, 0.5, 0.5, 400'000, 100));
   // Shared + per-thread private partitions must roughly reassemble the working set.
