@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -142,10 +141,9 @@ int main(int argc, char** argv) {
   auto run_series = [&](const std::string& tag, const WorkloadTraces& traces,
                         const std::vector<int>& shard_points, SystemFactory make_system) {
     const uint64_t ops = traces.TotalOps();
-    std::printf("\nReplay wall-clock throughput — %s (%s), %llu ops, %d blades, "
-                "%u host cores\n",
+    std::printf("\nReplay wall-clock throughput — %s (%s), %llu ops, %d blades\n",
                 tag.c_str(), traces.name.c_str(), static_cast<unsigned long long>(ops),
-                traces.num_blades, std::thread::hardware_concurrency());
+                traces.num_blades);
     std::printf("(simulator performance; simulated-time results are bit-identical across "
                 "rows)\n");
     TablePrinter table({"config", "wall ms", "ns/op", "Mops/s wall", "parallel hits",

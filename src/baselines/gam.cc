@@ -60,8 +60,9 @@ SimTime GamSystem::PsoReadBarrier(ThreadId tid, uint64_t page, SimTime now) {
   // that identity — plus the pruning side effect.
   const SimTime barrier = PsoPeekBarrier(tid, page, now);
   if (auto it = pending_writes_.find(tid); it != pending_writes_.end()) {
-    // Prune in place but never erase the map entry: channel commits for different blades
-    // run concurrently, and a structural map mutation here would race their lookups.
+    // Prune in place but never erase the map entry: the channel contract lets commits for
+    // different blades run concurrently, and a structural map mutation here would race
+    // their lookups.
     // Each thread only ever mutates its own vector.
     std::erase_if(it->second,
                   [barrier](const PendingWrite& w) { return w.completion <= barrier; });

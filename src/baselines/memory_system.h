@@ -8,9 +8,9 @@
 // The data-plane boundary is batch-first: besides the per-op Access (the serialized
 // reference path every system must implement), a system can hand out AccessChannel objects
 // (src/core/access_channel.h) — per-(thread, blade) batched submit/complete channels the
-// replay engine drives concurrently, one shard per blade group. All three in-tree systems
-// implement channels; the default opt-out (OpenChannel returning null) routes every op
-// through the serialized drain, which is always correct, at single-thread speed.
+// replay engine drives in its parallel phases, one shard per blade group. All three
+// in-tree systems implement channels; the default opt-out (OpenChannel returning null)
+// routes every op through the serialized drain, which is always correct.
 #ifndef MIND_SRC_BASELINES_MEMORY_SYSTEM_H_
 #define MIND_SRC_BASELINES_MEMORY_SYSTEM_H_
 
@@ -18,8 +18,8 @@
 #include <memory>
 #include <string>
 
+#include "src/common/phase_guard.h"
 #include "src/common/status.h"
-#include "src/common/thread_annotations.h"
 #include "src/common/types.h"
 #include "src/core/access.h"
 #include "src/core/access_channel.h"

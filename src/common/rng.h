@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "src/common/phase_guard.h"
-#include "src/common/thread_annotations.h"
 
 namespace mind {
 
@@ -72,7 +71,8 @@ class Rng {
 // Databases" — the same derivation YCSB's ZipfianGenerator uses.
 class ZipfianGenerator {
  public:
-  ZipfianGenerator(uint64_t n, double theta = 0.99) : n_(n), theta_(theta) {
+  ZipfianGenerator(uint64_t n, double theta = 0.99)
+      : n_(n), one_cutoff_(1.0 + std::pow(0.5, theta)) {
     assert(n > 0);
     zetan_ = Zeta(n, theta);
     zeta2_ = Zeta(2, theta);
@@ -86,7 +86,7 @@ class ZipfianGenerator {
     if (uz < 1.0) {
       return 0;
     }
-    if (uz < 1.0 + std::pow(0.5, theta_)) {
+    if (uz < one_cutoff_) {
       return 1;
     }
     const auto v = static_cast<uint64_t>(
@@ -106,7 +106,7 @@ class ZipfianGenerator {
   }
 
   uint64_t n_;
-  double theta_;
+  double one_cutoff_;  // uz below this (and >= 1) draws item 1: 1 + 0.5^theta.
   double zetan_;
   double zeta2_;
   double alpha_;

@@ -35,7 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "src/common/thread_annotations.h"
+#include "src/common/phase_guard.h"
 #include "src/common/types.h"
 #include "src/core/access.h"
 

@@ -20,8 +20,8 @@
 
 #include "src/blade/compute_blade.h"
 #include "src/blade/memory_blade.h"
+#include "src/common/phase_guard.h"
 #include "src/common/status.h"
-#include "src/common/thread_annotations.h"
 #include "src/common/types.h"
 #include "src/controlplane/bounded_splitting.h"
 #include "src/controlplane/controller.h"

@@ -24,7 +24,7 @@
 #include <limits>
 #include <vector>
 
-#include "src/common/thread_annotations.h"
+#include "src/common/phase_guard.h"
 #include "src/common/types.h"
 #include "src/net/reliability.h"
 #include "src/obs/trace.h"

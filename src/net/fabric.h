@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "src/common/bitops.h"
-#include "src/common/thread_annotations.h"
+#include "src/common/phase_guard.h"
 #include "src/common/types.h"
 #include "src/net/message.h"
 #include "src/net/queue_model.h"

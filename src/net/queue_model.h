@@ -31,7 +31,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/thread_annotations.h"
+#include "src/common/phase_guard.h"
 #include "src/common/types.h"
 
 namespace mind {

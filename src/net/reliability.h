@@ -11,8 +11,8 @@
 #include <cstdint>
 #include <functional>
 
+#include "src/common/phase_guard.h"
 #include "src/common/rng.h"
-#include "src/common/thread_annotations.h"
 #include "src/common/types.h"
 
 namespace mind {

@@ -4,14 +4,12 @@
 // explicitly OUTSIDE the determinism contract: profiles are never part of the
 // deterministic digest, never feed back into simulated time, and are gated
 // behind ReplayOptions::profile (off = not constructed = zero clock reads on
-// any path). The exported Perfetto track answers the ROADMAP's barrier-cost
-// questions: how long each parallel scan/commit phase, each serialized drain
-// stretch and each phase-barrier wait actually took on the host.
+// any path). The exported Perfetto track answers where a replay's host time
+// goes: how long each parallel scan/commit phase and each serialized drain
+// stretch actually took.
 //
-// Storage discipline (docs/determinism.md mailbox pattern): lane s is written
-// only by the thread currently executing shard s's phase; the dedicated serial
-// lane (index num_shards) only by the coordinating thread on the serialized
-// path. Reads happen after the worker join.
+// Lane s records shard s's phases; the dedicated serial lane (index num_shards)
+// records the serialized path. Everything runs on the replaying thread.
 #ifndef MIND_SRC_OBS_PHASE_PROFILER_H_
 #define MIND_SRC_OBS_PHASE_PROFILER_H_
 
@@ -28,7 +26,7 @@ class PhaseProfiler {
     kCommit = 1,       // Parallel commit phase (channel/group commits).
     kOwnerDrain = 2,   // Never recorded: kept only for perfbench/, removed with it next.
     kSerialDrain = 3,  // Serialized drain stretch (global merge steps).
-    kBarrierWait = 4,  // Coordinator's wait for the slowest shard at a barrier.
+    kBarrierWait = 4,  // Never recorded: perfbench/{replay_bench,span_report}.cc read it.
   };
   static constexpr int kNumPhases = 5;
   static constexpr size_t kMaxIntervalsPerLane = 1 << 14;

@@ -45,7 +45,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/thread_annotations.h"
+#include "src/common/phase_guard.h"
 #include "src/common/types.h"
 
 // detlint: mailbox(stats_)  -- PrefetchEngine::stats_ is per-(thread, blade) engine

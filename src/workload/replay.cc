@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <thread>
 #include <utility>
 
-#include "src/common/mutex.h"
 #include "src/common/phase_guard.h"
-#include "src/common/thread_annotations.h"
 
 namespace mind {
 
@@ -118,7 +115,6 @@ struct ShardRt {
   std::vector<GroupLane> lanes;                    // Per-round group-commit scratch.
   SimTime barrier = kNoHorizon;  // Scan result: earliest clock this shard cannot pass.
   bool any_blocked = false;
-  Rng rng{0};  // Per-shard stream (reserved for stochastic replay extensions).
   ShardReport report;
 };
 
@@ -183,7 +179,6 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   std::vector<ThreadRt> threads(traces.threads.size());
   std::vector<ShardRt> shards(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    shards[s].rng = Rng(options_.seed ^ (0x9e3779b97f4a7c15ull * (s + 1)));
     shards[s].blade_threads.resize(
         static_cast<size_t>((blades_used - s + num_shards - 1) / num_shards));
   }
@@ -555,33 +550,13 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     return r.local_hit;
   };
 
-  const bool use_threads =
-      num_shards > 1 &&
-      (options_.force_threads || std::thread::hardware_concurrency() > 1);
-
-  // --- Worker pool ---------------------------------------------------------
+  // --- Phase executor ------------------------------------------------------
 
   enum class Phase : uint8_t { kScan, kCommit };
-  // Phase-barrier state, fully guarded by `mu` (Clang Thread Safety Analysis proves it
-  // in the CI static-analysis job; waits are manual loops because TSA analyzes predicate
-  // lambdas as functions that do not hold the caller's capability).
-  struct Sync {
-    Mutex mu;
-    CondVar work_cv;
-    CondVar done_cv;
-    uint64_t gen MIND_GUARDED_BY(mu) = 0;
-    Phase phase MIND_GUARDED_BY(mu) = Phase::kScan;
-    SimTime horizon MIND_GUARDED_BY(mu) = 0;  // Commit horizon.
-    int remaining MIND_GUARDED_BY(mu) = 0;
-    bool exit MIND_GUARDED_BY(mu) = false;
-  } sync;
-
-  // Wall-clock phase timing for the profiler (lane s written only by the thread running
-  // shard s's phase — the mailbox discipline of docs/determinism.md).
+  // Shards run their phase in shard order on this thread; lane s of the profiler times
+  // shard s's phase.
   auto run_one = [&](int s, Phase phase, SimTime horizon) {  // MIND_PARALLEL_PHASE
     // Dynamic half of the phase contract: while the scope is live, Rng draws assert.
-    // Sequential executions get the same bracket — phase work is draw-free by
-    // construction in every mode.
     ParallelPhaseScope in_phase;
     const uint64_t prof_start = prof != nullptr ? prof->Begin() : 0;
     if (phase == Phase::kScan) {
@@ -596,65 +571,9 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
                 prof_start);
     }
   };
-  std::vector<std::thread> workers;
-  if (use_threads) {
-    workers.reserve(static_cast<size_t>(num_shards) - 1);
-    for (int s = 1; s < num_shards; ++s) {
-      workers.emplace_back([&, s] {
-        uint64_t seen = 0;
-        for (;;) {
-          Phase phase;
-          SimTime horizon;
-          {
-            MutexLock lk(sync.mu);
-            while (!sync.exit && sync.gen == seen) {
-              sync.work_cv.Wait(sync.mu);
-            }
-            if (sync.exit) {
-              return;
-            }
-            seen = sync.gen;
-            phase = sync.phase;
-            horizon = sync.horizon;
-          }
-          run_one(s, phase, horizon);
-          {
-            MutexLock lk(sync.mu);
-            if (--sync.remaining == 0) {
-              sync.done_cv.NotifyOne();
-            }
-          }
-        }
-      });
-    }
-  }
   auto run_phase = [&](Phase phase, SimTime horizon) {
-    if (!use_threads) {
-      for (int s = 0; s < num_shards; ++s) {
-        run_one(s, phase, horizon);
-      }
-      return;
-    }
-    {
-      MutexLock lk(sync.mu);
-      sync.phase = phase;
-      sync.horizon = horizon;
-      sync.remaining = num_shards - 1;
-      ++sync.gen;
-    }
-    sync.work_cv.NotifyAll();
-    run_one(0, phase, horizon);
-    const uint64_t wait_start = prof != nullptr ? prof->Begin() : 0;
-    {
-      MutexLock lk(sync.mu);
-      while (sync.remaining != 0) {
-        sync.done_cv.Wait(sync.mu);
-      }
-    }
-    if (prof != nullptr) {
-      // The coordinator's stall for the slowest shard: the barrier cost, on its own
-      // serial-lane track.
-      prof->End(prof->serial_lane(), PhaseProfiler::Phase::kBarrierWait, wait_start);
+    for (int s = 0; s < num_shards; ++s) {
+      run_one(s, phase, horizon);
     }
   };
 
@@ -779,16 +698,6 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
           drain_streak_exit = options_.drain_hit_streak_exit;
         }
       }
-    }
-  }
-  if (use_threads) {
-    {
-      MutexLock lk(sync.mu);
-      sync.exit = true;
-    }
-    sync.work_cv.NotifyAll();
-    for (std::thread& w : workers) {
-      w.join();
     }
   }
 

@@ -1,21 +1,22 @@
 // Trace replay engine: the memory-access emulator of §7, built on AccessChannels.
 //
 // ReplayEngine replays system-independent traces against any MemorySystem. Compute blades
-// are partitioned across N shards, each with its own logical-clock frontier, RNG stream,
-// latency histogram and counter block, and replay alternates between a parallel phase
-// (shards drive blade-local runs through the per-(thread, blade) AccessChannel
-// submit/complete contract — see src/core/access_channel.h) and a serialized drain
-// (coherence events — faults, invalidation waves, directory transitions, splitting epochs —
-// execute through per-op Access on one thread in global timestamp order). The handoff
-// between the two is a bounded epoch barrier: each round, every shard scans forward to the
-// timestamp of its first non-local op (or a bounded window), the minimum across shards
-// becomes the commit horizon H, and only ops starting strictly before H commit, in
-// per-blade (clock, thread) order. Because a channel-accepted op neither reads nor writes
-// anything a cross-shard coherence event can change (cache membership, permissions and PSO
-// barriers are only mutated by the serialized drain, and submitted runs are revalidated
-// against per-2MB-region version stamps), the merged result is bit-identical to
-// single-threaded per-op replay — same makespan, counters and latency histogram for 1, 2
-// or N shards, threads or no threads.
+// are partitioned across N shards, each with its own logical-clock frontier, latency
+// histogram and counter block, and replay alternates between a parallel phase (shards
+// drive blade-local runs through the per-(thread, blade) AccessChannel submit/complete
+// contract — see src/core/access_channel.h) and a serialized drain (coherence events —
+// faults, invalidation waves, directory transitions, splitting epochs — execute through
+// per-op Access in global timestamp order). Both run on the calling thread; a parallel
+// phase visits the shards in shard order and is "parallel" only in that its ops run
+// outside global (clock, thread) order. The handoff between the two is a bounded epoch
+// barrier: each round, every shard scans forward to the timestamp of its first non-local
+// op (or a bounded window), the minimum across shards becomes the commit horizon H, and
+// only ops starting strictly before H commit, in per-blade (clock, thread) order. Because
+// a channel-accepted op neither reads nor writes anything a cross-shard coherence event
+// can change (cache membership, permissions and PSO barriers are only mutated by the
+// serialized drain, and submitted runs are revalidated against per-2MB-region version
+// stamps), the merged result is bit-identical to per-op replay — same makespan, counters
+// and latency histogram for 1, 2 or N shards.
 //
 // Serial replay is the degenerate case of the same loop: one shard, same channels, same
 // drain. Two situations force the pure per-op reference path (every op through Access on
@@ -33,7 +34,6 @@
 
 #include "src/baselines/memory_system.h"
 #include "src/common/histogram.h"
-#include "src/common/rng.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/phase_profiler.h"
 #include "src/obs/trace_scope.h"
@@ -101,10 +101,8 @@ struct ReplayOptions {
   // semantic: results are bit-identical on or off. Off = per-thread channel commits (the
   // plain-channel conformance path).
   bool use_channel_groups = true;
-  // Spawn worker threads even when the host reports a single hardware thread (TSan and
-  // scheduling tests). By default threads are used only for shards > 1 on multi-core
-  // hosts; results are bit-identical either way — threading is an execution strategy,
-  // never a semantic.
+  // Ignored: shards always run in order on the calling thread. Kept only because
+  // perfbench/tests/decorator_equivalence_test.cc sets it.
   bool force_threads = false;
   // Per-thread run scan window per round: bounds submit-buffer memory and the wasted
   // rescan when another shard's coherence event cuts the horizon short.
@@ -115,9 +113,6 @@ struct ReplayOptions {
   // only trade barrier crossings against serialized hit work.
   uint32_t drain_max_coherence_ops = 64;
   uint32_t drain_hit_streak_exit = 2;
-  // Base seed for the per-shard RNG streams (stream s draws from seed ^ f(s); reserved
-  // for stochastic replay extensions such as jittered think times).
-  uint64_t seed = 1;
   // Prefetch policy applied to the system at Setup (MemorySystem::SetPrefetchPolicy).
   // kNone — the default — leaves the system untouched, so replay stays bit-identical to
   // the pre-prefetch engine for every shard count. With a real policy, replay is
@@ -138,7 +133,7 @@ struct ReplayOptions {
 // Per-shard accounting, exposed for tests and perf analysis. The merged ReplayReport is
 // the sum/max over these plus the system's serialized-phase counter delta.
 struct ShardReport {
-  uint64_t parallel_hits = 0;  // Ops committed on the shard's concurrent channel path.
+  uint64_t parallel_hits = 0;  // Ops committed on the shard's channel path.
   uint64_t grouped_ops = 0;    // Subset of parallel_hits committed via per-blade groups.
   uint64_t drained_ops = 0;    // This shard's ops executed by the serialized drain.
   uint64_t owner_drained = 0;  // Always 0: kept only for perfbench/, removed with it next.
@@ -165,7 +160,7 @@ class ReplayEngine {
 
   // Replays the traces. A non-null sampler needs exact global-order observation points,
   // so it forces the per-op reference path (documented fallback); otherwise the channel
-  // rounds run, with worker threads when shards > 1 (see ReplayOptions::force_threads).
+  // rounds run.
   ReplayReport Run(Sampler sampler = nullptr, SimTime sample_interval = 10 * kMillisecond);
 
   // VA of `page` within `segment` after Setup (tests poke at specific addresses).

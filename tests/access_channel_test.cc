@@ -551,9 +551,9 @@ TEST(ChannelGroup, GamContendedBladeCommitsExactLatencies) {
   EXPECT_EQ(pg.completion, ps.completion);
 }
 
-// Group commits under real worker threads (the TSan-exercised path): bit-identity and
-// group engagement must both hold when shards run their blades' merges concurrently.
-TEST(ChannelGroup, ForcedWorkerThreadsCommitGroups) {
+// Group commits at 4 shards: bit-identity and group engagement must both hold when each
+// shard merges its own blades' runs.
+TEST(ChannelGroup, FourShardReplayCommitsGroups) {
   const WorkloadTraces traces = GenerateTraces(CoherenceSpec(4, 2));
   auto ref_sys = std::make_unique<MindSystem>(ConformanceRackConfig());
   ReplayOptions ref_opts;
@@ -565,7 +565,6 @@ TEST(ChannelGroup, ForcedWorkerThreadsCommitGroups) {
   auto sys = std::make_unique<MindSystem>(ConformanceRackConfig());
   ReplayOptions opts;
   opts.shards = 4;
-  opts.force_threads = true;
   ReplayEngine engine(sys.get(), &traces, opts);
   ASSERT_TRUE(engine.Setup().ok());
   const ReplayReport got = engine.Run();

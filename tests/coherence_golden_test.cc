@@ -78,7 +78,6 @@ CoherenceGolden GoldenRun(QueueModelKind queue_model, const WorkloadTraces& trac
   MindSystem sys(PaperLikeRack(queue_model));
   ReplayOptions opts;
   opts.shards = shards;
-  opts.force_threads = shards > 1;  // Real workers even on one core (TSan coverage).
   opts.trace = true;
   ReplayEngine engine(&sys, &traces, opts);
   EXPECT_TRUE(engine.Setup().ok());

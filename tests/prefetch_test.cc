@@ -310,16 +310,15 @@ TEST(PrefetchEndToEnd, GamIssuesBehindTheLibraryLock) {
   EXPECT_GT(got.PrefetchCoverage(), 0.3);
 }
 
-// Prefetch state under real worker threads (TSan coverage): engines and per-blade
-// tables are only ever touched by their own blade's channel commits or the serialized
-// drain, so sharded replay with prefetching on must be race-free and deterministic.
-TEST(PrefetchEndToEnd, ShardedReplayWithThreadsIsDeterministic) {
+// Prefetch state under sharded replay: engines and per-blade tables are only ever touched
+// by their own blade's channel commits or the serialized drain, so sharded replay with
+// prefetching on must be deterministic.
+TEST(PrefetchEndToEnd, ShardedReplayIsDeterministic) {
   const WorkloadTraces traces = GenerateTraces(StreamSpec(4, Pattern::kSequential));
   auto run = [&](int shards) {
     MindSystem sys(SmallRack(4));
     ReplayOptions opts;
     opts.shards = shards;
-    opts.force_threads = true;
     opts.prefetch = PrefetchPolicy::kMajorityStride;
     ReplayEngine engine(&sys, &traces, opts);
     EXPECT_TRUE(engine.Setup().ok());

@@ -149,17 +149,6 @@ TEST(ShardedReplay, BitIdenticalUnderPso) {
   }
 }
 
-TEST(ShardedReplay, BitIdenticalWithForcedWorkerThreads) {
-  // Real worker threads even on single-core CI hosts; this is the TSan-exercised path.
-  const RackConfig config = TestRackConfig(4);
-  const WorkloadTraces traces = GenerateTraces(CoherenceHeavySpec(4));
-  const ReplayReport want = SerialReference(traces, config);
-  ReplayOptions opts;
-  opts.shards = 4;
-  opts.force_threads = true;
-  ExpectReportsIdentical(want, RunSharded(traces, config, opts));
-}
-
 TEST(ShardedReplay, BitIdenticalUnderStressedRoundMachinery) {
   // Tiny scan windows and a one-op drain maximize rounds and barrier crossings; the
   // result must not move.

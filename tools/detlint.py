@@ -12,7 +12,7 @@ The replay engine's determinism contract (docs/determinism.md) has two halves:
     mailboxes that fold into the system at phase barriers.
 
 Functions state which half they belong to with MIND_SERIALIZED_PATH /
-MIND_PARALLEL_PHASE (src/common/thread_annotations.h). Lambdas carry the tag as
+MIND_PARALLEL_PHASE (src/common/phase_guard.h). Lambdas carry the tag as
 a trailing comment on their introducer line:
 
     auto scan_shard = [&](int s) {  // MIND_PARALLEL_PHASE
@@ -681,10 +681,6 @@ def lint_paths(paths, verbose=False):
         fi = load_file(path)
         collect_unordered_names(fi, paired_header_code(path, all_paths))
         files.append(fi)
-        # The annotation header defines the macros; its text would read as
-        # tagged declarations. Markers/banned rules still apply to it.
-        if path.endswith("thread_annotations.h"):
-            continue
         functions.extend(scan_functions_regex(fi))
 
     engine = RuleEngine(files, functions, verbose=verbose)
