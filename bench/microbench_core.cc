@@ -18,6 +18,7 @@
 
 #include "bench/bench_util.h"
 #include "src/blade/dram_cache.h"
+#include "src/common/flat_map.h"
 #include "src/common/rng.h"
 #include "src/controlplane/allocator.h"
 #include "src/core/channel_group.h"
@@ -27,6 +28,7 @@
 #include "src/dataplane/tcam.h"
 #include "src/dataplane/translation.h"
 #include "src/net/fabric.h"
+#include "src/prefetch/prefetch.h"
 
 namespace mind {
 namespace {
@@ -168,6 +170,49 @@ void BM_DramCacheInsertPrefetched(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DramCacheInsertPrefetched)->Arg(8)->Arg(512);
+
+// One page's whole prefetch lifecycle on a blade's BladePrefetchState, at 512 fetches in
+// flight (swap_stream's 4 engines x 128) with monotone arrivals (the kFifo fabric's
+// order): Issue, TakeReady of the one arrival that lands, NoteInstalled, then the first
+// demand touch.
+void BM_PrefetchLifecycle(benchmark::State& state) {
+  constexpr uint64_t kInFlight = 512;
+  PrefetchConfig config;
+  config.policy = PrefetchPolicy::kMajorityStride;
+  PrefetchEngine engine(config);
+  BladePrefetchState bp;
+  uint64_t page = 0;
+  for (; page < kInFlight; ++page) {
+    bp.Issue(page, BladePrefetchState::InFlight{page, 0, &engine, 0});
+  }
+  for (auto _ : state) {
+    bp.Issue(page, BladePrefetchState::InFlight{page, 0, &engine, 0});
+    for (const auto& [ready, entry] : bp.TakeReady(page - kInFlight)) {
+      bp.NoteInstalled(ready, entry.owner);
+      bp.OnPrefetchedTouch(ready);
+    }
+    ++page;
+  }
+}
+BENCHMARK(BM_PrefetchLifecycle);
+
+// Steady-state churn of a FlatMap64 at a fixed live size: insert the next key of a
+// stream and erase the one that fell out of the window, as the prefetch in-flight table
+// and the cache index see under a sequential scan.
+void BM_FlatMapChurn(benchmark::State& state) {
+  const auto live = static_cast<uint64_t>(state.range(0));
+  FlatMap64<uint64_t> map;
+  uint64_t key = 0;
+  for (; key < live; ++key) {
+    map.Upsert(key, key);
+  }
+  for (auto _ : state) {
+    map.Upsert(key, key);
+    benchmark::DoNotOptimize(map.Erase(key - live));
+    ++key;
+  }
+}
+BENCHMARK(BM_FlatMapChurn)->Arg(512)->Arg(8192);
 
 // The per-blade group merge-commit walk (src/core/channel_group.h) at small and large
 // lane counts: 4 lanes exercises the branchy linear argmin scan, 32 lanes the

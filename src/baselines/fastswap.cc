@@ -213,8 +213,7 @@ void FastSwapSystem::PrefetchAfterFault(ThreadId tid, uint64_t page, SimTime don
 }
 
 void FastSwapSystem::IssuePrefetches(PrefetchEngine& engine, uint64_t page, SimTime done) {
-  prefetch_scratch_.clear();
-  engine.Predict(page, &prefetch_scratch_);
+  const PrefetchCandidates candidates = engine.Predict(page);
   // Occupancy feedback: skip (and shrink) the window when the trigger page's backing
   // blade port is already saturated with demand traffic.
   if (config_.prefetch.fabric_pressure_threshold < 1.0 &&
@@ -226,15 +225,17 @@ void FastSwapSystem::IssuePrefetches(PrefetchEngine& engine, uint64_t page, SimT
   uint64_t last_issued = page;
   bool issued_any = false;
   uint64_t issued_count = 0;
-  for (const uint64_t p : prefetch_scratch_) {
+  for (uint32_t k = 0; k < candidates.count; ++k) {
     if (!engine.HasInFlightRoom()) {
       break;  // Bounded in-flight queue.
     }
+    const uint64_t p = candidates.at(k);
     const VirtAddr va = PageToAddr(p);
     if (va < first_va_ || va >= next_va_) {
       continue;  // Never swap in past the allocated address space.
     }
-    if (cache_->Find(p) != nullptr || prefetch_.Contains(p)) {
+    // In flight first: on a covered stream most candidates already are.
+    if (prefetch_.Contains(p) || cache_->Find(p) != nullptr) {
       continue;
     }
     // Frontswap read-ahead: the demand fetch's exact hops, issued after it and queueing

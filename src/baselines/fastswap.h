@@ -125,7 +125,6 @@ class FastSwapSystem final : public MemorySystem {
   ThreadId next_tid_ = 1;
   std::unordered_map<ThreadId, std::unique_ptr<PrefetchEngine>> prefetch_engines_;
   BladePrefetchState prefetch_;  // Single compute blade.
-  std::vector<uint64_t> prefetch_scratch_;
 };
 
 }  // namespace mind

@@ -460,8 +460,7 @@ void GamSystem::PrefetchAfterFault(ThreadId tid, ComputeBladeId blade, uint64_t 
 
 void GamSystem::IssuePrefetches(PrefetchEngine& engine, ComputeBladeId blade,
                                 uint64_t page, SimTime done) {
-  prefetch_scratch_.clear();
-  engine.Predict(page, &prefetch_scratch_);
+  const PrefetchCandidates candidates = engine.Predict(page);
   // Occupancy feedback: skip (and shrink) the window when the trigger page's backing
   // blade port is already saturated with demand traffic.
   if (config_.prefetch.fabric_pressure_threshold < 1.0 &&
@@ -474,10 +473,11 @@ void GamSystem::IssuePrefetches(PrefetchEngine& engine, ComputeBladeId blade,
   uint64_t last_issued = page;
   bool issued_any = false;
   uint64_t issued_count = 0;
-  for (const uint64_t p : prefetch_scratch_) {
+  for (uint32_t k = 0; k < candidates.count; ++k) {
     if (!engine.HasInFlightRoom()) {
       break;  // Bounded in-flight queue.
     }
+    const uint64_t p = candidates.at(k);
     const VirtAddr va = PageToAddr(p);
     if (va < first_va_ || va >= next_va_) {
       continue;  // Never speculate past the allocated address space.

@@ -191,7 +191,6 @@ class GamSystem final : public MemorySystem {
   const VirtAddr first_va_ = next_va_;  // Prefetch candidates stay inside [first, next).
   ThreadId next_tid_ = 1;
   std::unordered_map<ThreadId, std::unique_ptr<PrefetchEngine>> prefetch_engines_;
-  std::vector<uint64_t> prefetch_scratch_;
 };
 
 }  // namespace mind

@@ -81,15 +81,22 @@ void DramCache::LruInsertAtDepth(Frame& frame, uint32_t depth) {
   }
 }
 
-void DramCache::IndexSetPage(uint64_t page) {
-  const uint64_t number = page / kRegionPages;
-  const uint32_t* slot = region_slots_.Find(number);
-  if (slot == nullptr) {
-    const auto fresh = static_cast<uint32_t>(regions_.size());
-    regions_.push_back(Region{{}, number, 0});
-    slot = region_slots_.Upsert(number, fresh).first;
+DramCache::Region& DramCache::RegionAt(uint64_t number) {
+  if (number != memo_region_) {
+    const uint32_t* slot = region_slots_.Find(number);
+    if (slot == nullptr) {
+      const auto fresh = static_cast<uint32_t>(regions_.size());
+      regions_.push_back(Region{{}, number, 0});
+      slot = region_slots_.Upsert(number, fresh).first;
+    }
+    memo_region_ = number;
+    memo_slot_ = *slot;
   }
-  Region& region = regions_[*slot];
+  return regions_[memo_slot_];
+}
+
+void DramCache::IndexSetPage(uint64_t page) {
+  Region& region = RegionAt(page / kRegionPages);
   const uint64_t bit = page % kRegionPages;
   region.bits[bit >> 6] |= uint64_t{1} << (bit & 63);
   if (region.count++ == 0) {
@@ -98,9 +105,8 @@ void DramCache::IndexSetPage(uint64_t page) {
 }
 
 void DramCache::IndexClearPage(uint64_t page) {
-  const uint32_t* slot = region_slots_.Find(page / kRegionPages);
-  assert(slot != nullptr);
-  Region& region = regions_[*slot];
+  Region& region = RegionAt(page / kRegionPages);
+  assert(region.count != 0);
   const uint64_t bit = page % kRegionPages;
   region.bits[bit >> 6] &= ~(uint64_t{1} << (bit & 63));
   if (--region.count == 0) {
@@ -161,6 +167,13 @@ std::optional<DramCache::Eviction> DramCache::EmplaceNewFrame(uint64_t page, boo
                                                               uint32_t lru_depth) {
   std::optional<Eviction> evicted;
   if (index_.size() >= capacity_ && capacity_ > 0) {
+    if (index_.capacity() < 3 * capacity_) [[unlikely]] {
+      // A full cache churns at exactly capacity_ pages from here on (every install
+      // evicts one), so size the index once for that steady state: below load 1/3,
+      // lookups and backward-shift erasures rarely probe past their home slot. Caches
+      // that never fill keep the index at its insert-driven size.
+      index_.Reserve(2 * capacity_);
+    }
     assert(lru_tail_ != kNilFrame);
     evicted = RemoveFrame(lru_tail_);
   }
@@ -210,10 +223,7 @@ std::optional<DramCache::Eviction> DramCache::InsertPrefetched(uint64_t page, bo
                                                                const PageData* bytes,
                                                                ProtDomainId pdid,
                                                                uint32_t lru_depth) {
-  if (Find(page) != nullptr) {
-    // Callers dedup before speculative installs; a racing demand insert wins.
-    return Insert(page, writable, bytes, pdid);
-  }
+  assert(Find(page) == nullptr && "speculative install of a cached page");
   BumpRegion(page);
   return EmplaceNewFrame(page, writable, bytes, pdid, /*prefetched=*/true, lru_depth);
 }

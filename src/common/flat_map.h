@@ -7,10 +7,15 @@
 // does a hash, a masked index and a short linear probe over three parallel arrays, which
 // is as close as portable C++ gets to the hardware's behavior.
 //
-// Semantics: linear probing with tombstones, power-of-two capacity, max load factor 3/4
-// (including tombstones) before an amortized rehash. Value pointers returned by Find or
-// Upsert are invalidated by any subsequent mutation; callers needing stable storage keep
-// indices into an external arena instead (see CacheDirectory, DramCache).
+// Semantics: linear probing, power-of-two capacity, max load factor 3/4 before an
+// amortized doubling. Erase uses backward-shift deletion: the entries behind the erased
+// slot in its probe cluster slide back into the hole, so the table never holds a
+// tombstone, probe lengths stay those of a table that never saw the erased key, and
+// churn at a fixed live size never grows or rehashes the table. Value pointers returned
+// by Find or Upsert are invalidated by any subsequent mutation — an Erase moves
+// *other* keys' values too — so callers copy a value out before erasing anything, and
+// callers needing stable storage keep indices into an external arena instead (see
+// CacheDirectory, DramCache).
 #ifndef MIND_SRC_COMMON_FLAT_MAP_H_
 #define MIND_SRC_COMMON_FLAT_MAP_H_
 
@@ -50,53 +55,53 @@ class FlatMap64 {
   // Inserts `value` under `key`, or assigns it to the existing entry. Returns the value
   // slot and whether a new entry was created.
   std::pair<Value*, bool> Upsert(uint64_t key, Value value) {
-    if (state_.empty() || (occupied_ + 1) * 4 >= (mask_ + 1) * 3) {
+    if (state_.empty() || (size_ + 1) * 4 >= (mask_ + 1) * 3) {
       Grow();
     }
     size_t idx = Hash(key) & mask_;
-    size_t insert_at = SIZE_MAX;  // First tombstone seen, reusable on insert.
     while (true) {
       const uint8_t s = state_[idx];
       if (s == kFull && keys_[idx] == key) {
         values_[idx] = std::move(value);
         return {&values_[idx], false};
       }
-      if (s == kTombstone && insert_at == SIZE_MAX) {
-        insert_at = idx;
-      }
       if (s == kEmpty) {
-        if (insert_at == SIZE_MAX) {
-          insert_at = idx;
-          ++occupied_;  // Tombstone reuse keeps the occupied count unchanged.
-        }
-        state_[insert_at] = kFull;
-        keys_[insert_at] = key;
-        values_[insert_at] = std::move(value);
+        state_[idx] = kFull;
+        keys_[idx] = key;
+        values_[idx] = std::move(value);
         ++size_;
-        return {&values_[insert_at], true};
+        return {&values_[idx], true};
       }
       idx = (idx + 1) & mask_;
     }
   }
 
   bool Erase(uint64_t key) {
-    if (state_.empty()) {
+    const Value* found = Find(key);
+    if (found == nullptr) {
       return false;
     }
-    size_t idx = Hash(key) & mask_;
-    while (true) {
-      const uint8_t s = state_[idx];
-      if (s == kEmpty) {
-        return false;
+    EraseAt(found);
+    return true;
+  }
+
+  // Erases the entry `found` points at: a value pointer that Find or Upsert returned,
+  // with no mutation since. Saves the probe of a Find-then-Erase(key).
+  void EraseAt(const Value* found) {
+    size_t hole = static_cast<size_t>(found - values_.data());
+    // Backward shift: walk the rest of the cluster and move each entry whose home slot
+    // is cyclically at or before the hole (its probe distance covers the hole) into it.
+    for (size_t next = (hole + 1) & mask_; state_[next] == kFull; next = (next + 1) & mask_) {
+      const size_t home = Hash(keys_[next]) & mask_;
+      if (((next - home) & mask_) >= ((next - hole) & mask_)) {
+        keys_[hole] = keys_[next];
+        values_[hole] = std::move(values_[next]);
+        hole = next;
       }
-      if (s == kFull && keys_[idx] == key) {
-        state_[idx] = kTombstone;
-        values_[idx] = Value{};  // Release value-held resources eagerly.
-        --size_;
-        return true;
-      }
-      idx = (idx + 1) & mask_;
     }
+    state_[hole] = kEmpty;
+    values_[hole] = Value{};  // Release value-held resources eagerly.
+    --size_;
   }
 
   // Unordered iteration; fn(key, value&). The map must not be mutated during iteration.
@@ -114,7 +119,6 @@ class FlatMap64 {
     keys_.clear();
     values_.clear();
     size_ = 0;
-    occupied_ = 0;
     mask_ = 0;
   }
 
@@ -133,7 +137,7 @@ class FlatMap64 {
   [[nodiscard]] size_t capacity() const { return state_.size(); }
 
  private:
-  enum : uint8_t { kEmpty = 0, kFull = 1, kTombstone = 2 };
+  enum : uint8_t { kEmpty = 0, kFull = 1 };
 
   [[nodiscard]] static size_t Hash(uint64_t key) {
     uint64_t h = key * 0x9E3779B97F4A7C15ull;  // Fibonacci multiplier.
@@ -144,7 +148,7 @@ class FlatMap64 {
   void Grow() {
     size_t cap = 16;
     while ((size_ + 1) * 2 >= cap) {
-      cap <<= 1;  // Rehash to load factor <= 1/2, clearing tombstones.
+      cap <<= 1;  // Rehash to load factor <= 1/2.
     }
     Rehash(cap);
   }
@@ -157,7 +161,6 @@ class FlatMap64 {
     keys_.assign(new_cap, 0);
     values_.assign(new_cap, Value{});
     mask_ = new_cap - 1;
-    occupied_ = size_;
     for (size_t i = 0; i < old_state.size(); ++i) {
       if (old_state[i] != kFull) {
         continue;
@@ -176,8 +179,7 @@ class FlatMap64 {
   std::vector<uint64_t> keys_;
   std::vector<Value> values_;
   size_t size_ = 0;
-  size_t occupied_ = 0;  // Full + tombstone slots.
-  size_t mask_ = 0;      // capacity - 1 (0 when unallocated).
+  size_t mask_ = 0;  // capacity - 1 (0 when unallocated).
 };
 
 }  // namespace mind

@@ -1005,9 +1005,8 @@ void Rack::PrefetchAfterFault(const AccessRequest& req, uint64_t page, SimTime d
 
 void Rack::IssuePrefetches(PrefetchEngine& engine, ComputeBladeId blade_id,
                            ProtDomainId pdid, uint64_t page, SimTime start) {
-  prefetch_scratch_.clear();
-  engine.Predict(page, &prefetch_scratch_);
-  if (prefetch_scratch_.empty()) {
+  const PrefetchCandidates candidates = engine.Predict(page);
+  if (candidates.count == 0) {
     return;
   }
   // Occupancy feedback: when the trigger page's home blade port is already saturated with
@@ -1025,10 +1024,11 @@ void Rack::IssuePrefetches(PrefetchEngine& engine, ComputeBladeId blade_id,
   uint64_t last_issued = page;
   uint64_t issued_count = 0;
   bool issued_any = false;
-  for (const uint64_t p : prefetch_scratch_) {
+  for (uint32_t k = 0; k < candidates.count; ++k) {
     if (!engine.HasInFlightRoom()) {
       break;  // Bounded in-flight queue.
     }
+    const uint64_t p = candidates.at(k);
     if (cache.Find(p) != nullptr || bp.Contains(p)) {
       continue;
     }

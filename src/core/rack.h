@@ -377,7 +377,6 @@ class Rack {
   // the hot pipeline/translation memo arrays so their cache placement is unchanged.
   std::unordered_map<ThreadId, std::unique_ptr<PrefetchEngine>> prefetch_engines_;
   std::vector<BladePrefetchState> blade_prefetch_;
-  std::vector<uint64_t> prefetch_scratch_;
   // Reused invalidation buffers (serialized path only): one wave's deliveries, and the
   // dirty pages of the sharer being handled (or the blade being shot down). Emptied
   // after each use, so no payload outlives its blade's cache.

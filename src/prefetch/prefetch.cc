@@ -16,27 +16,19 @@ std::optional<PrefetchPolicy> ParsePrefetchPolicy(std::string_view s) {
 }
 
 int64_t StrideDetector::MajorityStride() const {
-  if (size_ < 2) {
+  const uint32_t n = num_deltas_;
+  if (n < kWarmupDeltas) {
     return 0;
   }
-  const uint32_t deltas = size_ - 1;
-  if (deltas < kWarmupDeltas) {
-    return 0;
-  }
-  const uint32_t cap = static_cast<uint32_t>(ring_.size());
-  const uint32_t oldest = (head_ + cap - size_) % cap;
-  auto delta_at = [&](uint32_t i) {
-    const uint64_t a = ring_[(oldest + i) % cap];
-    const uint64_t b = ring_[(oldest + i + 1) % cap];
-    return static_cast<int64_t>(b - a);
-  };
   // Boyer-Moore majority vote, then a verification count: the candidate is only a real
   // stride if strictly more than half the deltas agree (Leap's majority criterion, which
   // is what keeps interleaved streams and random noise from producing a bogus stride).
+  // A strict majority wins the vote in any visit order, so both passes read the ring in
+  // slot order.
   int64_t candidate = 0;
   uint32_t votes = 0;
-  for (uint32_t i = 0; i < deltas; ++i) {
-    const int64_t d = delta_at(i);
+  for (uint32_t i = 0; i < n; ++i) {
+    const int64_t d = deltas_[i];
     if (votes == 0) {
       candidate = d;
       votes = 1;
@@ -47,42 +39,36 @@ int64_t StrideDetector::MajorityStride() const {
     }
   }
   uint32_t count = 0;
-  for (uint32_t i = 0; i < deltas; ++i) {
-    if (delta_at(i) == candidate) {
-      ++count;
-    }
+  for (uint32_t i = 0; i < n; ++i) {
+    count += deltas_[i] == candidate ? 1 : 0;
   }
-  if (candidate == 0 || count * 2 <= deltas) {
+  if (candidate == 0 || count * 2 <= n) {
     return 0;
   }
   return candidate;
 }
 
-void PrefetchEngine::Predict(uint64_t page, std::vector<uint64_t>* out) const {
+PrefetchCandidates PrefetchEngine::Predict(uint64_t page) const {
   int64_t stride = 0;
   switch (config_.policy) {
     case PrefetchPolicy::kNone:
-      return;
+      return {};
     case PrefetchPolicy::kNextN:
       stride = 1;
       break;
     case PrefetchPolicy::kMajorityStride:
       stride = detector_.MajorityStride();
       if (stride == 0) {
-        return;  // No majority pattern: speculating would only pollute the cache.
+        return {};  // No majority pattern: speculating would only pollute the cache.
       }
       break;
   }
-  uint64_t p = page;
-  for (uint32_t k = 0; k < window_; ++k) {
-    const uint64_t next = p + static_cast<uint64_t>(stride);
-    // Stop at address-space edges instead of wrapping into foreign mappings.
-    if (stride > 0 ? next < p : next > p) {
-      break;
-    }
-    out->push_back(next);
-    p = next;
-  }
+  // Stop at address-space edges instead of wrapping into foreign mappings: at most
+  // `room` whole strides fit between `page` and the edge the stride points at.
+  const uint64_t magnitude =
+      stride > 0 ? static_cast<uint64_t>(stride) : uint64_t{0} - static_cast<uint64_t>(stride);
+  const uint64_t room = (stride > 0 ? ~uint64_t{0} - page : page) / magnitude;
+  return {page, stride, static_cast<uint32_t>(std::min<uint64_t>(window_, room))};
 }
 
 }  // namespace mind

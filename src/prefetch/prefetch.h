@@ -37,14 +37,15 @@
 #include <cassert>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/common/flat_map.h"
 #include "src/common/phase_guard.h"
 #include "src/common/types.h"
 
@@ -127,34 +128,60 @@ struct PrefetchStats {
   }
 };
 
-// Majority-vote stride detector over a bounded access-history ring (page numbers at fault
-// granularity). Public so the unit tests can drive it against a naive reference model.
+// Majority-vote stride detector over a bounded access history (page numbers at fault
+// granularity; the last max(history, 2) pages). Public so the unit tests can drive it
+// against a naive reference model.
 class StrideDetector {
  public:
   explicit StrideDetector(uint32_t history_capacity)
-      : ring_(history_capacity < 2 ? 2 : history_capacity) {}
+      : deltas_((history_capacity < 2 ? 2 : history_capacity) - 1) {}
 
+  // Each consecutive delta is computed once, here, into a ring of the history's
+  // capacity - 1 deltas (the deltas between the pages it holds).
   void Record(uint64_t page) {
-    ring_[head_] = page;
-    head_ = (head_ + 1) % ring_.size();
-    if (size_ < ring_.size()) {
-      ++size_;
+    if (recorded_) {
+      deltas_[next_] = static_cast<int64_t>(page - last_);
+      if (++next_ == deltas_.size()) {
+        next_ = 0;
+      }
+      if (num_deltas_ < deltas_.size()) {
+        ++num_deltas_;
+      }
     }
+    last_ = page;
+    recorded_ = true;
   }
 
   // The majority delta of the recorded history: a nonzero stride S such that strictly
-  // more than half of the consecutive deltas in the ring equal S (Boyer-Moore candidate
-  // pass + verification count). 0 when the history is too short (warm-up: fewer than
-  // kWarmupDeltas deltas) or no delta has a majority — no speculation without a pattern.
+  // more than half of the consecutive deltas in the history equal S (Boyer-Moore
+  // candidate pass + verification count). 0 when the history is too short (warm-up:
+  // fewer than kWarmupDeltas deltas) or no delta has a majority — no speculation without
+  // a pattern.
   [[nodiscard]] int64_t MajorityStride() const;
 
-  [[nodiscard]] uint32_t size() const { return size_; }
   static constexpr uint32_t kWarmupDeltas = 3;
 
  private:
-  std::vector<uint64_t> ring_;  // Oldest-to-newest order is head_..head_+size_ (mod).
-  uint32_t size_ = 0;
-  uint32_t head_ = 0;
+  // The live deltas are deltas_[0, num_deltas_); next_ is the slot the next one
+  // overwrites (the oldest once the ring is full). The majority does not depend on
+  // the deltas' order, so MajorityStride reads them in slot order.
+  std::vector<int64_t> deltas_;
+  uint32_t num_deltas_ = 0;
+  uint32_t next_ = 0;
+  uint64_t last_ = 0;  // The most recent page.
+  bool recorded_ = false;
+};
+
+// The candidate pages of one prediction: `count` pages, `stride` apart, following
+// `anchor` (the k-th is anchor + (k + 1) * stride). Empty (count 0) means no speculation.
+struct PrefetchCandidates {
+  uint64_t anchor = 0;
+  int64_t stride = 0;
+  uint32_t count = 0;
+
+  [[nodiscard]] uint64_t at(uint32_t k) const {
+    return anchor + static_cast<uint64_t>(stride) * (k + 1);
+  }
 };
 
 // Per-(thread, blade) prefetcher: history + policy + adaptive window + bounded in-flight
@@ -174,9 +201,10 @@ class PrefetchEngine {
   // One demand fault (including late joins of in-flight prefetches).
   void RecordFault(uint64_t page) { detector_.Record(page); }
 
-  // Appends up to window() candidate pages following a fault at `page` (dedup against the
-  // cache/in-flight tables is the caller's job; the engine only predicts).
-  void Predict(uint64_t page, std::vector<uint64_t>* out) const;
+  // Up to window() candidate pages following a fault at `page`, stopping at the
+  // address-space edge (dedup against the cache/in-flight tables is the caller's job;
+  // the engine only predicts).
+  [[nodiscard]] PrefetchCandidates Predict(uint64_t page) const;
 
   // In-flight budget.
   [[nodiscard]] bool HasInFlightRoom() const { return in_flight_ < config_.max_in_flight; }
@@ -290,9 +318,15 @@ class PrefetchEngine {
 // and therefore eviction choice — so it must be deterministic, never hash-map iteration
 // order. next_ready() is the earliest pending arrival (all-ones when nothing is in
 // flight); a TakeReady before it returns without touching any entry.
-// Backing: a page -> entry map plus a (ready_at, page) min-heap with lazy deletion — a
-// heap entry is live only while the map still holds that page with that ready_at, so
-// TakeLate never searches the heap, and every operation is O(log n) amortized.
+// Backing: a flat page -> entry table plus an arrival queue of (page, entry) records
+// kept sorted by (ready_at, page), with lazy deletion. A record is live only while the
+// table still holds its page with its ready_at, so TakeLate never searches the queue.
+// Issue inserts from the back, walking backwards past records that arrive later; under
+// the kFifo fabric every response leaves the blade's single ingress port, whose finish
+// times strictly increase in call order, so the walk takes no step and both ends of the
+// queue are O(1). Out-of-order arrivals (kWindowedMG1) pay one step per record they
+// overtake. The queue is one vector with a consumed prefix, so TakeReady can hand its
+// arrivals to the caller in place.
 class BladePrefetchState {
  public:
   struct InFlight {
@@ -301,51 +335,66 @@ class BladePrefetchState {
     PrefetchEngine* owner = nullptr;
     ProtDomainId pdid = 0;
   };
+  using Arrival = std::pair<uint64_t, InFlight>;  // (page, fetch).
 
   // Starts tracking a fetch for `page`, which must not already be in flight.
   void Issue(uint64_t page, const InFlight& entry) {
-    const bool inserted = in_flight_.emplace(page, entry).second;
+    // Every page leaves the table within one flight time, so the table churns at its
+    // peak size. Keep it at load <= 1/3 (FlatMap64 alone settles at 1/2), where lookups
+    // and backward-shift erasures rarely probe past their home slot.
+    if (3 * (in_flight_.size() + 1) > in_flight_.capacity()) {
+      in_flight_.Reserve(2 * (in_flight_.size() + 1));
+    }
+    const bool inserted = in_flight_.Upsert(page, entry).second;
     assert(inserted && "page already in flight");
     (void)inserted;
-    ready_heap_.emplace_back(entry.ready_at, page);
-    std::push_heap(ready_heap_.begin(), ready_heap_.end(), std::greater<>());
+    size_t pos = queue_.size();
+    while (pos > front_ && ArrivesAfter(queue_[pos - 1], entry.ready_at, page)) {
+      --pos;
+    }
+    queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(pos), Arrival{page, entry});
   }
 
-  [[nodiscard]] bool Contains(uint64_t page) const { return in_flight_.count(page) != 0; }
+  [[nodiscard]] bool Contains(uint64_t page) const { return in_flight_.Find(page) != nullptr; }
 
   // Removes and returns `page`'s pending fetch (a demand miss joining it), if any.
   [[nodiscard]] std::optional<InFlight> TakeLate(uint64_t page) {
-    auto it = in_flight_.find(page);
-    if (it == in_flight_.end()) {
+    const InFlight* found = in_flight_.Find(page);
+    if (found == nullptr) {
       return std::nullopt;
     }
-    const InFlight entry = it->second;
-    in_flight_.erase(it);
-    PopDeadHeapTop();  // Keeps next_ready() exact.
+    const InFlight entry = *found;
+    in_flight_.EraseAt(found);
+    SkipDeadFront();  // Keeps next_ready() exact.
     return entry;
   }
 
   // Removes and returns the entries whose fetch has arrived by `now`, in (ready_at, page)
-  // order. The returned buffer is reused: it stays valid until the next TakeReady call.
-  MIND_SERIALIZED_PATH [[nodiscard]] const std::vector<std::pair<uint64_t, InFlight>>&
-  TakeReady(SimTime now) {
-    ready_.clear();
-    while (!ready_heap_.empty() && ready_heap_.front().first <= now) {
-      const auto [ready_at, page] = ready_heap_.front();
-      std::pop_heap(ready_heap_.begin(), ready_heap_.end(), std::greater<>());
-      ready_heap_.pop_back();
-      auto it = in_flight_.find(page);
-      if (it != in_flight_.end() && it->second.ready_at == ready_at) {
-        ready_.emplace_back(page, it->second);
-        in_flight_.erase(it);
+  // order. The span points into the queue: it stays valid until the next TakeReady or
+  // Issue call.
+  MIND_SERIALIZED_PATH [[nodiscard]] std::span<const Arrival> TakeReady(SimTime now) {
+    // The previous call's arrivals are consumed now. Reclaim the prefix once it is at
+    // least half the queue, so the move it costs is amortized O(1) per record.
+    if (front_ >= kMinReclaim && 2 * front_ >= queue_.size()) {
+      queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(front_));
+      front_ = 0;
+    }
+    const size_t first = front_;
+    size_t out = first;  // Live arrivals compact into [first, out).
+    for (; front_ < queue_.size() && queue_[front_].second.ready_at <= now; ++front_) {
+      const uint64_t page = queue_[front_].first;
+      const InFlight* live = LiveEntry(queue_[front_]);
+      if (live != nullptr) {
+        queue_[out++] = Arrival{page, *live};
+        in_flight_.EraseAt(live);
       }
     }
-    PopDeadHeapTop();
-    return ready_;
+    SkipDeadFront();
+    return {queue_.data() + first, out - first};
   }
 
   [[nodiscard]] SimTime next_ready() const {
-    return ready_heap_.empty() ? ~SimTime{0} : ready_heap_.front().first;
+    return front_ < queue_.size() ? queue_[front_].second.ready_at : ~SimTime{0};
   }
 
   // Re-arm requests recorded by hit paths and channel/group commits (an engine whose
@@ -374,13 +423,14 @@ class BladePrefetchState {
   // untouched without an eviction record (an invalidation wave dropped it): it is
   // evicted-unused, counted here unless ResolveEvictedUnused already counted it.
   void NoteInstalled(uint64_t page, PrefetchEngine* owner) {
-    auto [it, fresh] = unused_.try_emplace(page, Unused{owner, false});
-    if (!fresh) {
-      if (!it->second.counted) {
-        it->second.owner->CountEvictedUnused();
+    if (Unused* earlier = unused_.Find(page); earlier != nullptr) {
+      if (!earlier->counted) {
+        earlier->owner->CountEvictedUnused();
       }
-      it->second = Unused{owner, false};
+      *earlier = Unused{owner, false};
+      return;
     }
+    unused_.Upsert(page, Unused{owner, false});
   }
 
   // Counts installed-but-unused entries whose pages already left the cache (waves drop
@@ -391,14 +441,14 @@ class BladePrefetchState {
   // would have without this call — so reading the stats never steers the prefetcher.
   template <typename StillPrefetchedFn>
   MIND_SERIALIZED_PATH void ResolveEvictedUnused(StillPrefetchedFn&& still_prefetched) {
-    // detlint: allow(unordered-iteration): per-entry counter bumps commute; no
-    // order-sensitive state is derived from the visit order.
-    for (auto& [page, entry] : unused_) {
+    // Per-entry counter bumps commute: no order-sensitive state is derived from the
+    // table's visit order.
+    unused_.ForEach([&](uint64_t page, Unused& entry) {
       if (!entry.counted && !still_prefetched(page)) {
         entry.owner->CountEvictedUnused();
         entry.counted = true;
       }
-    }
+    });
   }
 
   // First demand touch of an installed prefetched page (hit paths and channel/group
@@ -407,11 +457,11 @@ class BladePrefetchState {
   // Reached from channel/group commits as well as serialized hit paths; tagged for the
   // stricter context (all mutations are blade- or engine-confined mailboxes).
   MIND_PARALLEL_PHASE void OnPrefetchedTouch(uint64_t page, ProtDomainId pdid = 0) {
-    auto it = unused_.find(page);
-    if (it != unused_.end()) {
-      PrefetchEngine* engine = it->second.owner;
+    const Unused* unused = unused_.Find(page);
+    if (unused != nullptr) {
+      PrefetchEngine* engine = unused->owner;
+      unused_.EraseAt(unused);
       engine->OnUseful(page);
-      unused_.erase(it);
       cold_depth_ = std::min(cold_depth_ + 8, kMaxColdDepth);
       if (auto rearm = engine->TakeRearm(); rearm.has_value()) {
         rearm_requests.push_back(Rearm{engine, *rearm, pdid});
@@ -421,11 +471,11 @@ class BladePrefetchState {
 
   // Eviction feedback: a page leaving the cache that was installed-but-unused.
   void OnPageEvicted(uint64_t page) {
-    auto it = unused_.find(page);
-    if (it != unused_.end()) {
-      it->second.owner->OnEvictedUnused(/*counted=*/it->second.counted);
+    const Unused* unused = unused_.Find(page);
+    if (unused != nullptr) {
+      unused->owner->OnEvictedUnused(/*counted=*/unused->counted);
       ShrinkColdDepth();
-      unused_.erase(it);
+      unused_.EraseAt(unused);
     }
   }
 
@@ -437,23 +487,31 @@ class BladePrefetchState {
 
   void ShrinkColdDepth() { cold_depth_ = std::max(cold_depth_ / 2, kMinColdDepth); }
 
-  // Drops heap entries whose fetch already left through TakeLate, so the top is live.
-  void PopDeadHeapTop() {
-    while (!ready_heap_.empty()) {
-      const auto [ready_at, page] = ready_heap_.front();
-      auto it = in_flight_.find(page);
-      if (it != in_flight_.end() && it->second.ready_at == ready_at) {
-        return;
-      }
-      std::pop_heap(ready_heap_.begin(), ready_heap_.end(), std::greater<>());
-      ready_heap_.pop_back();
+  // A consumed prefix shorter than this stays in place (not worth a move).
+  static constexpr size_t kMinReclaim = 64;
+
+  // (ready_at, page) order, strict: a re-issue at a dead record's very key lands after it.
+  [[nodiscard]] static bool ArrivesAfter(const Arrival& a, SimTime ready_at, uint64_t page) {
+    return a.second.ready_at != ready_at ? a.second.ready_at > ready_at : a.first > page;
+  }
+
+  // The table's entry for `a`'s page if `a` is its live record, else nullptr.
+  [[nodiscard]] const InFlight* LiveEntry(const Arrival& a) const {
+    const InFlight* entry = in_flight_.Find(a.first);
+    return entry != nullptr && entry->ready_at == a.second.ready_at ? entry : nullptr;
+  }
+
+  // Consumes dead records at the head of the queue, so next_ready() is live.
+  void SkipDeadFront() {
+    while (front_ < queue_.size() && LiveEntry(queue_[front_]) == nullptr) {
+      ++front_;
     }
   }
 
-  std::unordered_map<uint64_t, InFlight> in_flight_;         // page -> pending fetch.
-  std::vector<std::pair<SimTime, uint64_t>> ready_heap_;      // (ready_at, page) min-heap.
-  std::vector<std::pair<uint64_t, InFlight>> ready_;          // TakeReady's reused buffer.
-  std::unordered_map<uint64_t, Unused> unused_;               // installed, never touched.
+  FlatMap64<InFlight> in_flight_;  // page -> pending fetch.
+  std::vector<Arrival> queue_;     // Sorted by (ready_at, page); [0, front_) consumed.
+  size_t front_ = 0;
+  FlatMap64<Unused> unused_;       // installed, never touched.
   uint32_t cold_depth_ = 64;
 };
 

@@ -1,10 +1,13 @@
-// Unit tests for src/common: types, bit ops, RNG/zipfian, histogram, fairness index.
+// Unit tests for src/common: types, bit ops, RNG/zipfian, histogram, fairness index, and
+// the FlatMap64 open-addressed table.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/bitops.h"
+#include "src/common/flat_map.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -189,6 +192,108 @@ TEST(Result, ValueAndStatusPaths) {
   Result<int> err(Status(ErrorCode::kNotFound));
   EXPECT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), ErrorCode::kNotFound);
+}
+
+// FlatMap64 against std::unordered_map under random Upsert/Erase/Find churn. Each seed
+// draws its own universe of 6, 12 or 40 random keys, so the table stays at 16-64 slots
+// and home slots differ from seed to seed: across the seeds, probe clusters wrap past
+// the end of the arrays and backward-shift deletion must move entries across the wrap.
+TEST(FlatMap64, RandomChurnMatchesUnorderedMap) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    FlatMap64<uint64_t> map;
+    std::unordered_map<uint64_t, uint64_t> ref;
+    std::vector<uint64_t> universe(seed % 3 == 0 ? 40 : seed % 3 == 1 ? 12 : 6);
+    for (uint64_t& k : universe) {
+      k = rng.Next();
+    }
+    for (int step = 0; step < 4000; ++step) {
+      const uint64_t key = universe[rng.NextBelow(universe.size())];
+      const double roll = rng.NextDouble();
+      if (roll < 0.45) {
+        const uint64_t value = rng.Next();
+        const auto [slot, inserted] = map.Upsert(key, value);
+        ASSERT_EQ(inserted, ref.count(key) == 0) << "step " << step;
+        ASSERT_EQ(*slot, value);
+        ref[key] = value;
+      } else if (roll < 0.65) {
+        ASSERT_EQ(map.Erase(key), ref.erase(key) == 1) << "step " << step;
+      } else if (roll < 0.80) {
+        // The Find-then-EraseAt pairing the prefetch tables use.
+        const uint64_t* found = map.Find(key);
+        ASSERT_EQ(found != nullptr, ref.count(key) == 1) << "step " << step;
+        if (found != nullptr) {
+          ASSERT_EQ(*found, ref[key]);
+          map.EraseAt(found);
+          ref.erase(key);
+        }
+      } else {
+        const uint64_t* found = map.Find(key);
+        ASSERT_EQ(found != nullptr, ref.count(key) == 1) << "step " << step;
+        if (found != nullptr) {
+          ASSERT_EQ(*found, ref[key]) << "step " << step;
+        }
+      }
+      ASSERT_EQ(map.size(), ref.size()) << "step " << step;
+      if (step % 64 == 0) {
+        for (const uint64_t k : universe) {
+          const uint64_t* found = map.Find(k);
+          ASSERT_EQ(found != nullptr, ref.count(k) == 1) << "key " << k << " step " << step;
+          if (found != nullptr) {
+            ASSERT_EQ(*found, ref[k]);
+          }
+        }
+        size_t visited = 0;
+        map.ForEach([&](uint64_t k, uint64_t& v) {
+          ++visited;
+          ASSERT_EQ(ref.count(k), 1u);
+          ASSERT_EQ(v, ref[k]);
+        });
+        ASSERT_EQ(visited, ref.size());
+      }
+    }
+  }
+}
+
+// Erasures leave no tombstones, so churn at a fixed live size never grows (or rehashes)
+// the table: neither a streaming window (insert the next key, erase the oldest) nor
+// random replacement.
+TEST(FlatMap64, SteadyStateChurnDoesNotGrowCapacity) {
+  // Live sizes 10/16 and 700/1024: one below the grow threshold while a churn step holds
+  // live + 1 entries.
+  for (const uint64_t live : {10u, 700u}) {
+    SCOPED_TRACE(live);
+    FlatMap64<uint64_t> stream;
+    FlatMap64<uint64_t> random;
+    std::vector<uint64_t> keys;
+    for (uint64_t k = 0; k < live; ++k) {
+      stream.Upsert(k, k);
+      random.Upsert(k, k);
+      keys.push_back(k);
+    }
+    const size_t stream_cap = stream.capacity();
+    const size_t random_cap = random.capacity();
+    Rng rng(live);
+    for (uint64_t k = live; k < live + 50000; ++k) {
+      stream.Upsert(k, k);
+      ASSERT_TRUE(stream.Erase(k - live));
+      const size_t victim = rng.NextBelow(keys.size());
+      ASSERT_TRUE(random.Erase(keys[victim]));
+      keys[victim] = k * 0x9E3779B97F4A7C15ull;  // Scattered home slots.
+      random.Upsert(keys[victim], k);
+    }
+    EXPECT_EQ(stream.size(), live);
+    EXPECT_EQ(stream.capacity(), stream_cap);
+    EXPECT_EQ(random.size(), live);
+    EXPECT_EQ(random.capacity(), random_cap);
+    for (uint64_t k = 50000; k < live + 50000; ++k) {
+      ASSERT_NE(stream.Find(k), nullptr);
+    }
+    for (const uint64_t k : keys) {
+      ASSERT_NE(random.Find(k), nullptr);
+    }
+  }
 }
 
 }  // namespace

@@ -84,8 +84,11 @@ TEST(StrideDetector, WarmupProducesNoStride) {
 
 TEST(StrideDetector, MatchesNaiveReferenceOnRandomSequences) {
   Rng rng(1234);
-  for (int trial = 0; trial < 20; ++trial) {
-    const uint32_t history = 4 + static_cast<uint32_t>(rng.NextBelow(60));
+  // Histories 1-3 hold fewer deltas than the warm-up needs (1 clamps to 2) and must
+  // never report a stride; the rest are random.
+  for (int trial = 0; trial < 23; ++trial) {
+    const uint32_t history = trial < 3 ? static_cast<uint32_t>(trial + 1)
+                                       : 4 + static_cast<uint32_t>(rng.NextBelow(60));
     StrideDetector detector(history);
     NaiveDetector naive(history);
     uint64_t page = 1'000'000;
@@ -158,28 +161,45 @@ PrefetchConfig TestConfig(PrefetchPolicy policy) {
 
 TEST(PrefetchEngine, NextNPredictsSequentialReadahead) {
   PrefetchEngine e(TestConfig(PrefetchPolicy::kNextN));
-  std::vector<uint64_t> out;
-  e.Predict(100, &out);
-  ASSERT_EQ(out.size(), e.window());
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], 101 + i);
+  const PrefetchCandidates c = e.Predict(100);
+  ASSERT_EQ(c.count, e.window());
+  for (uint32_t i = 0; i < c.count; ++i) {
+    EXPECT_EQ(c.at(i), 101 + i);
   }
 }
 
 TEST(PrefetchEngine, MajorityStridePredictsOnlyAfterAPatternForms) {
   PrefetchEngine e(TestConfig(PrefetchPolicy::kMajorityStride));
-  std::vector<uint64_t> out;
-  e.Predict(100, &out);
-  EXPECT_TRUE(out.empty()) << "no history: no speculation";
+  EXPECT_EQ(e.Predict(100).count, 0u) << "no history: no speculation";
   uint64_t page = 100;
   for (int i = 0; i < 6; ++i) {
     e.RecordFault(page += 5);
   }
-  e.Predict(page, &out);
-  ASSERT_EQ(out.size(), e.window());
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], page + 5 * (i + 1));
+  const PrefetchCandidates c = e.Predict(page);
+  ASSERT_EQ(c.count, e.window());
+  for (uint32_t i = 0; i < c.count; ++i) {
+    EXPECT_EQ(c.at(i), page + 5 * (i + 1));
   }
+}
+
+TEST(PrefetchEngine, PredictionsStopAtTheAddressSpaceEdge) {
+  PrefetchEngine up(TestConfig(PrefetchPolicy::kNextN));
+  const uint64_t top = ~uint64_t{0};
+  EXPECT_EQ(up.Predict(top - 2).count, 2u) << "two pages fit above top - 2";
+  EXPECT_EQ(up.Predict(top).count, 0u);
+  EXPECT_EQ(up.Predict(top - 2).at(1), top);
+
+  // A descending stride stops at page 0 (inclusive).
+  PrefetchEngine down(TestConfig(PrefetchPolicy::kMajorityStride));
+  uint64_t page = 100;
+  for (int i = 0; i < 6; ++i) {
+    down.RecordFault(page -= 7);
+  }
+  ASSERT_EQ(page, 58u);
+  const PrefetchCandidates c = down.Predict(14);
+  EXPECT_EQ(c.count, 2u) << "7 and 0 fit, -7 would wrap";
+  EXPECT_EQ(c.at(0), 7u);
+  EXPECT_EQ(c.at(1), 0u);
 }
 
 TEST(PrefetchEngine, WindowGrowsOnUsefulAndShrinksOnFeedback) {
