@@ -81,22 +81,15 @@ void DramCache::LruInsertAtDepth(Frame& frame, uint32_t depth) {
   }
 }
 
-DramCache::Region& DramCache::RegionAt(uint64_t number) {
-  if (number != memo_region_) {
-    const uint32_t* slot = region_slots_.Find(number);
-    if (slot == nullptr) {
-      const auto fresh = static_cast<uint32_t>(regions_.size());
-      regions_.push_back(Region{{}, number, 0});
-      slot = region_slots_.Upsert(number, fresh).first;
-    }
-    memo_region_ = number;
-    memo_slot_ = *slot;
-  }
-  return regions_[memo_slot_];
-}
-
 void DramCache::IndexSetPage(uint64_t page) {
-  Region& region = RegionAt(page / kRegionPages);
+  const uint64_t number = page / kRegionPages;
+  const uint32_t* slot = region_slots_.Find(number);
+  if (slot == nullptr) {
+    const auto fresh = static_cast<uint32_t>(regions_.size());
+    regions_.push_back(Region{{}, number, 0});
+    slot = region_slots_.Upsert(number, fresh).first;
+  }
+  Region& region = regions_[*slot];
   const uint64_t bit = page % kRegionPages;
   region.bits[bit >> 6] |= uint64_t{1} << (bit & 63);
   if (region.count++ == 0) {
@@ -105,8 +98,9 @@ void DramCache::IndexSetPage(uint64_t page) {
 }
 
 void DramCache::IndexClearPage(uint64_t page) {
-  Region& region = RegionAt(page / kRegionPages);
-  assert(region.count != 0);
+  const uint32_t* slot = region_slots_.Find(page / kRegionPages);
+  assert(slot != nullptr);
+  Region& region = regions_[*slot];
   const uint64_t bit = page % kRegionPages;
   region.bits[bit >> 6] &= ~(uint64_t{1} << (bit & 63));
   if (--region.count == 0) {
@@ -167,13 +161,9 @@ std::optional<DramCache::Eviction> DramCache::EmplaceNewFrame(uint64_t page, boo
                                                               uint32_t lru_depth) {
   std::optional<Eviction> evicted;
   if (index_.size() >= capacity_ && capacity_ > 0) {
-    if (index_.capacity() < 3 * capacity_) [[unlikely]] {
-      // A full cache churns at exactly capacity_ pages from here on (every install
-      // evicts one), so size the index once for that steady state: below load 1/3,
-      // lookups and backward-shift erasures rarely probe past their home slot. Caches
-      // that never fill keep the index at its insert-driven size.
-      index_.Reserve(2 * capacity_);
-    }
+    // A full cache churns at exactly capacity_ pages from here on; caches that never
+    // fill keep the index at its insert-driven size.
+    index_.ReserveForChurn(capacity_);
     assert(lru_tail_ != kNilFrame);
     evicted = RemoveFrame(lru_tail_);
   }

@@ -255,23 +255,10 @@ class DramCache {
   std::optional<Eviction> EmplaceNewFrame(uint64_t page, bool writable,
                                           const PageData* bytes, ProtDomainId pdid,
                                           bool prefetched, uint32_t lru_depth);
-  // The region numbered `number`, indexed on first use. Streaming installs and evictions
-  // hit the same region back to back, so the last region's slot is memoized.
-  Region& RegionAt(uint64_t number);
   void IndexSetPage(uint64_t page);
   void IndexClearPage(uint64_t page);
-  // Advances the global version and records it as `page`'s region version. Installs
-  // and evictions bump the same region back to back, so the last region's version slot
-  // is memoized; region_versions_ gains keys only here, which refreshes the memo, so the
-  // pointer never dangles.
-  void BumpRegion(uint64_t page) {
-    const uint64_t region = RegionOf(page);
-    if (region != bump_memo_region_) {
-      bump_memo_version_ = region_versions_.Upsert(region, 0).first;
-      bump_memo_region_ = region;
-    }
-    *bump_memo_version_ = ++version_;
-  }
+  // Advances the global version and records it as `page`'s region version.
+  void BumpRegion(uint64_t page) { region_versions_.Upsert(RegionOf(page), ++version_); }
   // Removes the frame at `idx` from every structure; returns its eviction record.
   Eviction RemoveFrame(uint32_t idx);
 
@@ -301,8 +288,6 @@ class DramCache {
   uint64_t version_ = 0;           // Global mutation ordinal feeding region_version().
   // Region number -> last mutation version (never erased; see region_version()).
   FlatMap64<uint64_t> region_versions_;
-  uint64_t bump_memo_region_ = ~uint64_t{0};  // BumpRegion's memo (no region has this number).
-  uint64_t* bump_memo_version_ = nullptr;
   // Invalidation-only versions (see region_inval_version): narrow InvalidateRange calls
   // bump the overlapped regions' entries; calls spanning > kWideInvalRegions regions bump
   // the wide epoch once instead.
@@ -311,9 +296,6 @@ class DramCache {
   static constexpr uint64_t kWideInvalRegions = 32;
   FlatMap64<uint32_t> region_slots_;  // Region number -> slot in regions_.
   std::vector<Region> regions_;       // Every region ever indexed (see Region).
-  // RegionAt's memo: regions are never dropped from regions_, so a slot stays valid.
-  uint64_t memo_region_ = ~uint64_t{0};  // No region has this number.
-  uint32_t memo_slot_ = 0;
   uint64_t live_regions_ = 0;         // Regions with count > 0.
 };
 

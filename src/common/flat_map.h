@@ -19,6 +19,7 @@
 #ifndef MIND_SRC_COMMON_FLAT_MAP_H_
 #define MIND_SRC_COMMON_FLAT_MAP_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -88,6 +89,10 @@ class FlatMap64 {
   // Erases the entry `found` points at: a value pointer that Find or Upsert returned,
   // with no mutation since. Saves the probe of a Find-then-Erase(key).
   void EraseAt(const Value* found) {
+    assert(found != nullptr && found >= values_.data() &&
+           found < values_.data() + values_.size() &&
+           state_[static_cast<size_t>(found - values_.data())] == kFull &&
+           "EraseAt needs a live pointer into this map");
     size_t hole = static_cast<size_t>(found - values_.data());
     // Backward shift: walk the rest of the cluster and move each entry whose home slot
     // is cyclically at or before the hole (its probe distance covers the hole) into it.
@@ -129,6 +134,17 @@ class FlatMap64 {
     }
     if (cap > state_.size()) {
       Rehash(cap);
+    }
+  }
+
+  // Sizes the table for steady churn at up to `live` entries, where every insert is
+  // paired with an erase (a full cache's page index, an in-flight table): load stays
+  // below 1/3 instead of Upsert's 1/2 to 3/4, so lookups and backward-shift erasures
+  // rarely probe past the home slot. A no-op once the table is that large, so a table
+  // whose live size grows can call it before each insert.
+  void ReserveForChurn(size_t live) {
+    if (state_.size() < 3 * live) {
+      Reserve(2 * live);
     }
   }
 

@@ -339,12 +339,9 @@ class BladePrefetchState {
 
   // Starts tracking a fetch for `page`, which must not already be in flight.
   void Issue(uint64_t page, const InFlight& entry) {
-    // Every page leaves the table within one flight time, so the table churns at its
-    // peak size. Keep it at load <= 1/3 (FlatMap64 alone settles at 1/2), where lookups
-    // and backward-shift erasures rarely probe past their home slot.
-    if (3 * (in_flight_.size() + 1) > in_flight_.capacity()) {
-      in_flight_.Reserve(2 * (in_flight_.size() + 1));
-    }
+    assert(!batch_open_ && "Issue may move the queue under a live TakeReady batch");
+    // Every page leaves the table within one flight time: it churns at its peak size.
+    in_flight_.ReserveForChurn(in_flight_.size() + 1);
     const bool inserted = in_flight_.Upsert(page, entry).second;
     assert(inserted && "page already in flight");
     (void)inserted;
@@ -369,10 +366,30 @@ class BladePrefetchState {
     return entry;
   }
 
+  // TakeReady's result: the arrived entries, read in place from the queue. Issue and
+  // TakeReady may move the queue, so neither may run while a batch is alive: callers
+  // finish the install loop before issuing re-arms. Debug builds assert this.
+  class ReadyBatch {
+   public:
+    ReadyBatch(const ReadyBatch&) = delete;
+    ReadyBatch& operator=(const ReadyBatch&) = delete;
+    ~ReadyBatch() { *open_ = false; }
+    [[nodiscard]] const Arrival* begin() const { return items_.data(); }
+    [[nodiscard]] const Arrival* end() const { return items_.data() + items_.size(); }
+    [[nodiscard]] size_t size() const { return items_.size(); }
+    [[nodiscard]] const Arrival& operator[](size_t i) const { return items_[i]; }
+
+   private:
+    friend class BladePrefetchState;
+    ReadyBatch(std::span<const Arrival> items, bool* open) : items_(items), open_(open) {}
+    std::span<const Arrival> items_;
+    bool* open_;  // The state's batch_open_.
+  };
+
   // Removes and returns the entries whose fetch has arrived by `now`, in (ready_at, page)
-  // order. The span points into the queue: it stays valid until the next TakeReady or
-  // Issue call.
-  MIND_SERIALIZED_PATH [[nodiscard]] std::span<const Arrival> TakeReady(SimTime now) {
+  // order (see ReadyBatch for how long they stay readable).
+  MIND_SERIALIZED_PATH [[nodiscard]] ReadyBatch TakeReady(SimTime now) {
+    assert(!batch_open_ && "TakeReady while an earlier batch is alive");
     // The previous call's arrivals are consumed now. Reclaim the prefix once it is at
     // least half the queue, so the move it costs is amortized O(1) per record.
     if (front_ >= kMinReclaim && 2 * front_ >= queue_.size()) {
@@ -390,7 +407,8 @@ class BladePrefetchState {
       }
     }
     SkipDeadFront();
-    return {queue_.data() + first, out - first};
+    batch_open_ = true;
+    return ReadyBatch({queue_.data() + first, out - first}, &batch_open_);
   }
 
   [[nodiscard]] SimTime next_ready() const {
@@ -511,6 +529,7 @@ class BladePrefetchState {
   FlatMap64<InFlight> in_flight_;  // page -> pending fetch.
   std::vector<Arrival> queue_;     // Sorted by (ready_at, page); [0, front_) consumed.
   size_t front_ = 0;
+  bool batch_open_ = false;        // A TakeReady batch is alive (see ReadyBatch).
   FlatMap64<Unused> unused_;       // installed, never touched.
   uint32_t cold_depth_ = 64;
 };

@@ -296,5 +296,23 @@ TEST(FlatMap64, SteadyStateChurnDoesNotGrowCapacity) {
   }
 }
 
+TEST(FlatMap64, ReserveForChurnKeepsLoadBelowAThird) {
+  FlatMap64<uint64_t> map;
+  for (uint64_t live = 1; live <= 3000; ++live) {
+    map.ReserveForChurn(live);
+    map.Upsert(live, live);
+    ASSERT_LT(3 * map.size(), map.capacity()) << "live " << live;
+  }
+  // A churn step at the reached size neither grows nor shrinks the table.
+  const size_t cap = map.capacity();
+  for (uint64_t k = 3001; k < 13001; ++k) {
+    map.ReserveForChurn(map.size() + 1);
+    map.Upsert(k, k);
+    ASSERT_TRUE(map.Erase(k - 3000));
+  }
+  EXPECT_EQ(map.capacity(), cap);
+  EXPECT_EQ(map.size(), 3000u);
+}
+
 }  // namespace
 }  // namespace mind

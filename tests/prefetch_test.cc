@@ -454,6 +454,23 @@ TEST(PrefetchInFlightQueue, MatchesBruteForceReference) {
   }
 }
 
+// TakeReady's batch points into the queue, which an Issue may move: debug builds refuse
+// an Issue (or another TakeReady) while a batch is alive, and accept both once it is gone.
+TEST(PrefetchInFlightQueue, BatchMustBeReleasedBeforeIssue) {
+  PrefetchEngine engine{PrefetchConfig{}};
+  BladePrefetchState bp;
+  bp.Issue(1, BladePrefetchState::InFlight{10, 0, &engine, 0});
+  {
+    const auto batch = bp.TakeReady(10);
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_DEBUG_DEATH(bp.Issue(2, BladePrefetchState::InFlight{20, 0, &engine, 0}),
+                       "live TakeReady batch");
+    EXPECT_DEBUG_DEATH((void)bp.TakeReady(30), "earlier batch is alive");
+  }
+  bp.Issue(3, BladePrefetchState::InFlight{40, 0, &engine, 0});
+  EXPECT_EQ(bp.TakeReady(40).size(), 1u);
+}
+
 // --- Part 4: invalidation waves discard stale in-flight prefetches ------------
 
 // --- Part 3b: prefetch-aware eviction priority (DramCache cold inserts) -------
